@@ -40,9 +40,10 @@
 #include <string>
 #include <vector>
 
+#include "repro/common/atomic_file.hpp"
+#include "repro/common/json.hpp"
 #include "repro/common/table.hpp"
 #include "repro/harness/advise.hpp"
-#include "repro/harness/atomic_file.hpp"
 #include "repro/harness/cli.hpp"
 #include "repro/harness/scheduler.hpp"
 #include "repro/trace/ground_truth.hpp"
@@ -269,15 +270,6 @@ std::map<std::string, std::string> load_golden_vectors(
     goldens[benchmark + " " + label] = migrations;
   }
   return goldens;
-}
-
-void append_json_escaped(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\';
-    }
-    os << c;
-  }
 }
 
 }  // namespace
@@ -539,56 +531,47 @@ int main(int argc, char** argv) {
 
   // ---- JSON trajectory -------------------------------------------------
   if (!json_dir.empty()) {
-    std::ostringstream os;
-    os.precision(17);
-    os << "{\"bench\": \"advisor_validation\", \"fail_under\": " << fail_under
-       << ", \"aggregate\": {"
-       << "\"migration_precision\": " << mig_precision
-       << ", \"migration_recall\": " << mig_recall
-       << ", \"target_agreement\": " << target_agreement
-       << ", \"home_agreement\": " << home_agreement
-       << ", \"pingpong_precision\": " << frz_precision
-       << ", \"pingpong_recall\": " << frz_recall
-       << ", \"pingpong_support\": " << frz_true
-       << ", \"cold_home_precision\": " << cold_precision
-       << ", \"min_kendall_tau\": " << min_tau
-       << ", \"vectors_exact\": " << (vectors_ok ? "true" : "false")
-       << ", \"passed\": " << (gate_failed ? "false" : "true")
-       << "}, \"benchmarks\": [";
-    for (std::size_t b = 0; b < scores.size(); ++b) {
-      const BenchmarkScore& bench = scores[b];
-      os << (b == 0 ? "\n  " : ",\n  ") << "{\"benchmark\": \"";
-      append_json_escaped(os, bench.benchmark);
-      os << "\", \"kendall_tau\": " << bench.tau << ", \"predicted_best\": \"";
-      append_json_escaped(os, bench.predicted_best);
-      os << "\", \"actual_best\": \"";
-      append_json_escaped(os, bench.actual_best);
-      os << "\", \"verdict_agrees\": "
-         << (bench.verdict_agrees ? "true" : "false")
-         << ", \"cold_home_flagged\": " << bench.cold_home_flagged
-         << ", \"cold_home_hits\": " << bench.cold_home_hits
-         << ", \"cells\": [";
-      for (std::size_t c = 0; c < bench.cells.size(); ++c) {
-        const CellScore& cell = bench.cells[c];
-        os << (c == 0 ? "" : ", ") << "{\"label\": \"";
-        append_json_escaped(os, cell.label);
-        os << "\", \"predicted_migrations\": " << cell.predicted_migrations
-           << ", \"actual_migrations\": " << cell.actual_migrations
-           << ", \"migration_hits\": " << cell.migration_hits
-           << ", \"target_hits\": " << cell.target_hits
-           << ", \"home_hits\": " << cell.home_hits
-           << ", \"predicted_frozen\": " << cell.predicted_frozen
-           << ", \"actual_frozen\": " << cell.actual_frozen
-           << ", \"vector_match\": " << (cell.vector_match ? "true" : "false")
-           << ", \"predicted_remote\": " << cell.predicted_remote
-           << ", \"actual_remote\": " << cell.actual_remote
-           << ", \"predicted_cost\": " << cell.predicted_cost
-           << ", \"actual_seconds\": " << cell.actual_seconds << "}";
+    json::Writer w;
+    w.begin_object().field("bench", "advisor_validation");
+    w.field("fail_under", fail_under).key("aggregate").begin_object();
+    w.field("migration_precision", mig_precision);
+    w.field("migration_recall", mig_recall);
+    w.field("target_agreement", target_agreement);
+    w.field("home_agreement", home_agreement);
+    w.field("pingpong_precision", frz_precision);
+    w.field("pingpong_recall", frz_recall).field("pingpong_support", frz_true);
+    w.field("cold_home_precision", cold_precision);
+    w.field("min_kendall_tau", min_tau);
+    w.field("vectors_exact", vectors_ok).field("passed", !gate_failed);
+    w.end_object().key("benchmarks").begin_array();
+    for (const BenchmarkScore& bench : scores) {
+      w.begin_object().field("benchmark", bench.benchmark);
+      w.field("kendall_tau", bench.tau);
+      w.field("predicted_best", bench.predicted_best);
+      w.field("actual_best", bench.actual_best);
+      w.field("verdict_agrees", bench.verdict_agrees);
+      w.field("cold_home_flagged", bench.cold_home_flagged);
+      w.field("cold_home_hits", bench.cold_home_hits);
+      w.key("cells").begin_array();
+      for (const CellScore& cell : bench.cells) {
+        w.begin_object().field("label", cell.label);
+        w.field("predicted_migrations", cell.predicted_migrations);
+        w.field("actual_migrations", cell.actual_migrations);
+        w.field("migration_hits", cell.migration_hits);
+        w.field("target_hits", cell.target_hits);
+        w.field("home_hits", cell.home_hits);
+        w.field("predicted_frozen", cell.predicted_frozen);
+        w.field("actual_frozen", cell.actual_frozen);
+        w.field("vector_match", cell.vector_match);
+        w.field("predicted_remote", cell.predicted_remote);
+        w.field("actual_remote", cell.actual_remote);
+        w.field("predicted_cost", cell.predicted_cost);
+        w.field("actual_seconds", cell.actual_seconds).end_object();
       }
-      os << "]}";
+      w.end_array().end_object();
     }
-    os << "\n]}\n";
-    atomic_write_file(json_dir + "/BENCH_advisor_validation.json", os.str());
+    w.end_array().end_object();
+    atomic_write_file(json_dir + "/BENCH_advisor_validation.json", w.finish());
     std::cout << "JSON written to " << json_dir
               << "/BENCH_advisor_validation.json\n";
   }

@@ -9,18 +9,13 @@
 // 5x (the acceptance gate --smoke enforces in CI), because every flag
 // write invalidates the neighbours' copies.
 //
-// Timings and counters written to BENCH_coherence_sweep.json
-// (google-benchmark shape plus per-row coherence counters for
-// tools/perf_compare.py and the checked-in baseline) are *simulated*,
-// so the advisory compare flags model changes, not host noise.
+// Rows written to BENCH_coherence_sweep.json (google-benchmark shape)
+// carry the cell's integer simulated total `sim_total_ns` and its
+// coherence counters, all deterministic: no host time is measured.
 //
 // Usage: coherence_sweep [--iterations=N] [--jobs=N] [--json=DIR]
 //                        [--verify-determinism] [--smoke]
-#include <sys/resource.h>
-
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -28,6 +23,7 @@
 
 #include "repro/common/table.hpp"
 #include "repro/harness/cli.hpp"
+#include "repro/harness/json.hpp"
 #include "repro/harness/scheduler.hpp"
 
 using namespace repro;
@@ -41,13 +37,6 @@ struct Cell {
   std::string placement;  // "ft" | "rr"
   bool upmlib = false;
 };
-
-/// Peak resident set of this process in MiB (Linux ru_maxrss is KiB).
-double peak_rss_mib() {
-  rusage usage{};
-  getrusage(RUSAGE_SELF, &usage);
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;
-}
 
 RunConfig cell_config(const Cell& cell, std::uint32_t iterations,
                       bool trace) {
@@ -68,44 +57,6 @@ std::string cell_name(const Cell& cell) {
   os << "CoherenceSweep/" << cell.benchmark << '/' << cell.placement
      << (cell.upmlib ? "-upmlib" : "-base") << '-' << cell.policy;
   return os.str();
-}
-
-void write_json(const std::string& dir, const std::vector<Cell>& cells,
-                const std::vector<RunResult>& results,
-                std::uint32_t iterations) {
-  std::filesystem::create_directories(dir);
-  const std::string path = dir + "/BENCH_coherence_sweep.json";
-  std::ofstream out(path);
-  if (!out.good()) {
-    std::cerr << "cannot write " << path << '\n';
-    return;
-  }
-  out << "{\n \"context\": {\n"
-      << "  \"executable\": \"coherence_sweep\",\n"
-      << "  \"peak_rss_mib\": " << peak_rss_mib() << "\n },\n"
-      << " \"benchmarks\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const double sim_ms_per_iter = ns_to_seconds(results[i].total) * 1e3 /
-                                   static_cast<double>(iterations);
-    const coherence::CoherenceStats& c = results[i].coherence_totals;
-    out << "  {\n"
-        << "   \"name\": \"" << cell_name(cells[i]) << "\",\n"
-        << "   \"run_name\": \"" << cell_name(cells[i]) << "\",\n"
-        << "   \"run_type\": \"iteration\",\n"
-        << "   \"repetitions\": 1,\n"
-        << "   \"iterations\": " << iterations << ",\n"
-        << "   \"real_time\": " << sim_ms_per_iter << ",\n"
-        << "   \"cpu_time\": " << sim_ms_per_iter << ",\n"
-        << "   \"time_unit\": \"ms\",\n"
-        << "   \"coherence_miss_rate\": " << c.coherence_miss_rate() << ",\n"
-        << "   \"coherence_miss_lines\": " << c.coherence_miss_lines << ",\n"
-        << "   \"upgrades\": " << c.upgrades << ",\n"
-        << "   \"invalidations\": " << c.invalidations_sent << ",\n"
-        << "   \"writebacks\": " << c.writebacks << "\n"
-        << "  }" << (i + 1 < cells.size() ? "," : "") << '\n';
-  }
-  out << " ]\n}\n";
-  std::cout << "\nwrote " << path << '\n';
 }
 
 std::size_t compare_digests(const std::vector<Cell>& cells,
@@ -271,8 +222,19 @@ int main(int argc, char** argv) {
                "(policy, placement, engine) pair\n";
 
   if (!json_dir.empty()) {
-    write_json(json_dir, cells, results,
-               static_cast<std::uint32_t>(iterations));
+    std::vector<BenchRow> rows;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      const coherence::CoherenceStats& c = results[i].coherence_totals;
+      rows.push_back({cell_name(cells[i]), iterations, std::nullopt,
+                      {{"sim_total_ns", results[i].total},
+                       {"coherence_miss_rate", c.coherence_miss_rate()},
+                       {"coherence_miss_lines", c.coherence_miss_lines},
+                       {"upgrades", c.upgrades}, {"writebacks", c.writebacks},
+                       {"invalidations", c.invalidations_sent}}});
+    }
+    const std::string path = json_dir + "/BENCH_coherence_sweep.json";
+    write_bench_rows(path, "coherence_sweep", rows);
+    std::cout << "\nwrote " << path << '\n';
   }
   return 0;
 }

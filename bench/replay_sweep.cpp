@@ -25,8 +25,6 @@
 // Usage: replay_sweep [--benchmark=CG] [--iterations=N] [--scale=X]
 //                     [--json=DIR] [--trace-file=PATH] [--smoke]
 //                     [--golden=FILE] [--check-speedup] [--no-verify]
-#include <sys/resource.h>
-
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -40,6 +38,7 @@
 
 #include "repro/common/table.hpp"
 #include "repro/harness/cli.hpp"
+#include "repro/harness/json.hpp"
 #include "repro/harness/run.hpp"
 #include "repro/harness/scheduler.hpp"
 #include "repro/sim/trace_replayer.hpp"
@@ -60,13 +59,6 @@ const char* kModes[] = {"direct", "replay", "pipelined"};
 struct CellTiming {
   double ms[3] = {0.0, 0.0, 0.0};  // indexed like kModes
 };
-
-/// Peak resident set of this process in MiB (Linux ru_maxrss is KiB).
-double peak_rss_mib() {
-  rusage usage{};
-  getrusage(RUSAGE_SELF, &usage);
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;
-}
 
 double now_ms() {
   return std::chrono::duration<double, std::milli>(
@@ -203,47 +195,6 @@ std::size_t verify_cell(const RunConfig& traced, const std::string& trace_file,
     }
   }
   return mismatches;
-}
-
-void write_json(const std::string& dir, const std::string& benchmark,
-                const std::vector<Cell>& cells,
-                const std::vector<CellTiming>& timings, double mops,
-                std::uint32_t iterations) {
-  std::filesystem::create_directories(dir);
-  const std::string path = dir + "/BENCH_replay_sweep.json";
-  std::ofstream out(path);
-  if (!out.good()) {
-    std::cerr << "cannot write " << path << '\n';
-    return;
-  }
-  out << "{\n \"context\": {\n"
-      << "  \"executable\": \"replay_sweep\",\n"
-      << "  \"decode_mops\": " << mops << ",\n"
-      << "  \"peak_rss_mib\": " << peak_rss_mib() << "\n },\n"
-      << " \"benchmarks\": [\n";
-  bool first = true;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    for (int mode = 0; mode < 3; ++mode) {
-      const std::string name = row_name(benchmark, cells[i], kModes[mode]);
-      const double speedup =
-          timings[i].ms[mode] > 0.0 ? timings[i].ms[1] / timings[i].ms[mode]
-                                    : 0.0;
-      out << (first ? "" : ",\n") << "  {\n"
-          << "   \"name\": \"" << name << "\",\n"
-          << "   \"run_name\": \"" << name << "\",\n"
-          << "   \"run_type\": \"iteration\",\n"
-          << "   \"repetitions\": 1,\n"
-          << "   \"iterations\": " << iterations << ",\n"
-          << "   \"real_time\": " << timings[i].ms[mode] << ",\n"
-          << "   \"cpu_time\": " << timings[i].ms[mode] << ",\n"
-          << "   \"time_unit\": \"ms\",\n"
-          << "   \"speedup_vs_replay\": " << speedup << "\n"
-          << "  }";
-      first = false;
-    }
-  }
-  out << "\n ]\n}\n";
-  std::cout << "\nwrote " << path << '\n';
 }
 
 }  // namespace
@@ -426,8 +377,18 @@ int main(int argc, char** argv) {
   }
 
   if (!json_dir.empty()) {
-    write_json(json_dir, benchmark, cells, timings, mops,
-               static_cast<std::uint32_t>(iterations));
+    std::vector<BenchRow> rows;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      for (int mode = 0; mode < 3; ++mode) {
+        const double ms = timings[i].ms[mode];
+        const double speedup = ms > 0.0 ? timings[i].ms[1] / ms : 0.0;
+        rows.push_back({row_name(benchmark, cells[i], kModes[mode]),
+                        iterations, ms, {{"speedup_vs_replay", speedup}}});
+      }
+    }
+    const std::string path = json_dir + "/BENCH_replay_sweep.json";
+    write_bench_rows(path, "replay_sweep", rows, {{"decode_mops", mops}});
+    std::cout << "\nwrote " << path << '\n';
   }
   return 0;
 }

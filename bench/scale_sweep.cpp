@@ -10,22 +10,17 @@
 // work-stealing scheduler. Weak scaling throughout: the problem grows
 // with the machine so per-thread working sets stay constant.
 //
-// Timings reported (and written to BENCH_scale_sweep.json in
-// google-benchmark shape for tools/perf_compare.py) are *simulated*
-// milliseconds per timed iteration -- deterministic across hosts, so
-// the +/-25% advisory band actually flags model changes, not host
-// noise. Peak host RSS is printed at the end: past 64 processors the
+// Timings reported are *simulated* ms per timed iteration; rows of
+// BENCH_scale_sweep.json carry each cell's integer `sim_total_ns`,
+// which tools/perf_compare.py compares exactly against the checked-in
+// baseline. Peak host RSS is printed at the end: past 64 processors the
 // kAuto table backend switches to the sparse structures, which is what
 // keeps the 512-node cells inside a laptop's memory.
 //
 // Usage: scale_sweep [--fast] [--benchmark=CG|MG] [--iterations=N]
 //                    [--max-nodes=N] [--scale=X] [--jobs=N]
 //                    [--json=DIR] [--verify-determinism] [--smoke]
-#include <sys/resource.h>
-
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -33,6 +28,7 @@
 
 #include "repro/common/table.hpp"
 #include "repro/harness/cli.hpp"
+#include "repro/harness/json.hpp"
 #include "repro/harness/scheduler.hpp"
 
 using namespace repro;
@@ -59,13 +55,6 @@ struct Cell {
   std::string placement;
   bool upmlib = false;
 };
-
-/// Peak resident set of this process in MiB (Linux ru_maxrss is KiB).
-double peak_rss_mib() {
-  rusage usage{};
-  getrusage(RUSAGE_SELF, &usage);
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;
-}
 
 RunConfig cell_config(const Cell& cell, std::uint32_t iterations,
                       double base_scale, bool trace) {
@@ -95,39 +84,6 @@ std::string cell_name(const Cell& cell) {
   os << "ScaleSweep/" << cell.benchmark << '/' << cell.machine.nodes << '/'
      << cell.placement << (cell.upmlib ? "-upmlib" : "-base");
   return os.str();
-}
-
-void write_json(const std::string& dir, const std::vector<Cell>& cells,
-                const std::vector<RunResult>& results,
-                std::uint32_t iterations) {
-  std::filesystem::create_directories(dir);
-  const std::string path = dir + "/BENCH_scale_sweep.json";
-  std::ofstream out(path);
-  if (!out.good()) {
-    std::cerr << "cannot write " << path << '\n';
-    return;
-  }
-  out << "{\n \"context\": {\n"
-      << "  \"executable\": \"scale_sweep\",\n"
-      << "  \"peak_rss_mib\": " << peak_rss_mib() << "\n },\n"
-      << " \"benchmarks\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const double sim_ms_per_iter =
-        ns_to_seconds(results[i].total) * 1e3 /
-        static_cast<double>(iterations);
-    out << "  {\n"
-        << "   \"name\": \"" << cell_name(cells[i]) << "\",\n"
-        << "   \"run_name\": \"" << cell_name(cells[i]) << "\",\n"
-        << "   \"run_type\": \"iteration\",\n"
-        << "   \"repetitions\": 1,\n"
-        << "   \"iterations\": " << iterations << ",\n"
-        << "   \"real_time\": " << sim_ms_per_iter << ",\n"
-        << "   \"cpu_time\": " << sim_ms_per_iter << ",\n"
-        << "   \"time_unit\": \"ms\"\n"
-        << "  }" << (i + 1 < cells.size() ? "," : "") << '\n';
-  }
-  out << " ]\n}\n";
-  std::cout << "\nwrote " << path << '\n';
 }
 
 /// Compares per-cell trace digests of two sweep runs; returns the
@@ -280,7 +236,14 @@ int main(int argc, char** argv) {
                "processors)\n";
 
   if (!json_dir.empty()) {
-    write_json(json_dir, cells, results, static_cast<std::uint32_t>(iterations));
+    std::vector<BenchRow> rows;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      rows.push_back({cell_name(cells[i]), iterations, std::nullopt,
+                      {{"sim_total_ns", results[i].total}}});
+    }
+    const std::string path = json_dir + "/BENCH_scale_sweep.json";
+    write_bench_rows(path, "scale_sweep", rows);
+    std::cout << "\nwrote " << path << '\n';
   }
   return 0;
 }

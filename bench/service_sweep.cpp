@@ -23,8 +23,9 @@
 #include <thread>
 #include <vector>
 
+#include "repro/common/atomic_file.hpp"
+#include "repro/common/json.hpp"
 #include "repro/common/table.hpp"
-#include "repro/harness/atomic_file.hpp"
 #include "repro/harness/cli.hpp"
 #include "repro/service/client.hpp"
 #include "repro/service/daemon.hpp"
@@ -153,19 +154,18 @@ int main(int argc, char** argv) {
   }
 
   if (!json_dir.empty()) {
-    std::ostringstream js;
-    js << "{\n  \"bench\": \"service_sweep\",\n  \"benchmarks\": [\n";
-    js << "    {\"name\": \"ServiceSweep/" << benchmark
-       << "/cold\", \"real_time\": " << cold_ms
-       << ", \"time_unit\": \"ms\", \"cells\": " << request.cells.size()
-       << "},\n";
-    js << "    {\"name\": \"ServiceSweep/" << benchmark
-       << "/warm\", \"real_time\": " << warm_ms
-       << ", \"time_unit\": \"ms\", \"cells\": " << request.cells.size()
-       << ", \"cache_hits\": " << warm_hits << "}\n";
-    js << "  ]\n}\n";
-    harness::atomic_write_file(json_dir + "/BENCH_service_sweep.json",
-                               js.str());
+    const std::string name = "ServiceSweep/" + benchmark;
+    json::Writer w;
+    w.begin_object().field("bench", "service_sweep");
+    w.key("benchmarks").begin_array();
+    w.begin_object().field("name", name + "/cold").field("real_time", cold_ms);
+    w.field("time_unit", "ms").field("cells", request.cells.size());
+    w.end_object();
+    w.begin_object().field("name", name + "/warm").field("real_time", warm_ms);
+    w.field("time_unit", "ms").field("cells", request.cells.size());
+    w.field("cache_hits", warm_hits).end_object();
+    w.end_array().end_object();
+    atomic_write_file(json_dir + "/BENCH_service_sweep.json", w.finish());
   }
 
   std::error_code ec;

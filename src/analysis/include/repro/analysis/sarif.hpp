@@ -18,8 +18,8 @@ namespace repro::analysis {
     std::string_view tool_name, std::string_view tool_version,
     std::span<const Diagnostic> diags);
 
-/// Writes the SARIF document to `path` (atomic rename like the JSON
-/// emitters).
+/// Writes the SARIF document to `path` via atomic_write_file, like
+/// the JSON emitters.
 void write_sarif(const std::string& path, std::string_view tool_name,
                  std::string_view tool_version,
                  std::span<const Diagnostic> diags);

@@ -1,59 +1,11 @@
 #include "repro/analysis/sarif.hpp"
 
-#include <cstdio>
-#include <fstream>
 #include <set>
-#include <sstream>
 
-#include "repro/common/assert.hpp"
+#include "repro/common/atomic_file.hpp"
+#include "repro/common/json.hpp"
 
 namespace repro::analysis {
-
-namespace {
-
-void append_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-std::string quoted(std::string_view text) {
-  std::string out = "\"";
-  append_escaped(out, text);
-  out += '"';
-  return out;
-}
-
-/// SARIF result levels: "note" | "warning" | "error" -- conveniently
-/// the same names the diagnostics already use.
-const char* sarif_level(Severity severity) { return severity_name(severity); }
-
-}  // namespace
 
 std::string diagnostics_to_sarif(std::string_view tool_name,
                                  std::string_view tool_version,
@@ -63,69 +15,46 @@ std::string diagnostics_to_sarif(std::string_view tool_name,
     rules.insert(diag.rule);
   }
 
-  std::string out;
-  out += "{\n";
-  out += "  \"$schema\": "
-         "\"https://json.schemastore.org/sarif-2.1.0.json\",\n";
-  out += "  \"version\": \"2.1.0\",\n";
-  out += "  \"runs\": [\n    {\n";
-  out += "      \"tool\": {\n        \"driver\": {\n";
-  out += "          \"name\": " + quoted(tool_name) + ",\n";
-  out += "          \"version\": " + quoted(tool_version) + ",\n";
-  out += "          \"informationUri\": "
-         "\"https://github.com/\",\n";
-  out += "          \"rules\": [\n";
-  bool first = true;
+  json::Writer w;
+  w.begin_object();
+  w.field("$schema", "https://json.schemastore.org/sarif-2.1.0.json");
+  w.field("version", "2.1.0").key("runs").begin_array().begin_object();
+  w.key("tool").begin_object().key("driver").begin_object();
+  w.field("name", tool_name).field("version", tool_version);
+  w.field("informationUri", "https://github.com/");
+  w.key("rules").begin_array();
   for (const std::string& rule : rules) {
-    if (!first) {
-      out += ",\n";
-    }
-    first = false;
-    out += "            {\"id\": " + quoted(rule) + "}";
+    w.begin_object().field("id", rule).end_object();
   }
-  out += "\n          ]\n        }\n      },\n";
-  out += "      \"results\": [\n";
-  first = true;
+  w.end_array().end_object().end_object();
+  w.key("results").begin_array();
   for (const Diagnostic& diag : diags) {
-    if (!first) {
-      out += ",\n";
-    }
-    first = false;
-    std::string message;
-    append_escaped(message, diag.message);
+    std::string message = diag.message;
     if (!diag.hint.empty()) {
-      message += " (hint: ";
-      append_escaped(message, diag.hint);
-      message += ")";
+      message += " (hint: " + diag.hint + ")";
     }
     std::string location = diag.region;
     const std::string where = diag.location();
     if (!where.empty()) {
       location += " [" + where + "]";
     }
-    out += "        {\"ruleId\": " + quoted(diag.rule) +
-           ", \"level\": \"" + sarif_level(diag.severity) +
-           "\", \"message\": {\"text\": \"" + message +
-           "\"}, \"locations\": [{\"logicalLocations\": "
-           "[{\"fullyQualifiedName\": " +
-           quoted(location) + "}]}]}";
+    w.begin_object().field("ruleId", diag.rule);
+    // SARIF result levels are the diagnostics' own severity names.
+    w.field("level", severity_name(diag.severity));
+    w.key("message").begin_object().field("text", message).end_object();
+    w.key("locations").begin_array().begin_object();
+    w.key("logicalLocations").begin_array().begin_object();
+    w.field("fullyQualifiedName", location);
+    w.end_object().end_array().end_object().end_array().end_object();
   }
-  out += "\n      ]\n    }\n  ]\n}\n";
-  return out;
+  w.end_array().end_object().end_array().end_object();
+  return w.finish();
 }
 
 void write_sarif(const std::string& path, std::string_view tool_name,
                  std::string_view tool_version,
                  std::span<const Diagnostic> diags) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    REPRO_REQUIRE_MSG(os.good(), "cannot open SARIF output file");
-    os << diagnostics_to_sarif(tool_name, tool_version, diags);
-    REPRO_REQUIRE_MSG(os.good(), "SARIF write failed");
-  }
-  REPRO_REQUIRE_MSG(std::rename(tmp.c_str(), path.c_str()) == 0,
-                    "SARIF rename failed");
+  atomic_write_file(path, diagnostics_to_sarif(tool_name, tool_version, diags));
 }
 
 }  // namespace repro::analysis

@@ -5,8 +5,9 @@
 #include <sstream>
 #include <utility>
 
+#include "repro/common/atomic_file.hpp"
+#include "repro/common/json.hpp"
 #include "repro/common/table.hpp"
-#include "repro/harness/atomic_file.hpp"
 #include "repro/nas/workload.hpp"
 #include "repro/omp/machine.hpp"
 #include "repro/upmlib/upmlib.hpp"
@@ -15,16 +16,37 @@ namespace repro::harness {
 
 namespace {
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
+void append_report(json::Writer& w, const analysis::AdvisorReport& report) {
+  w.begin_object().field("benchmark", report.benchmark);
+  w.field("predicted_best", report.predicted_best);
+  w.field("ft_gap", report.ft_gap);
+  w.field("distribution_unnecessary", report.distribution_unnecessary);
+  w.field("timed_phases", report.dataflow.phases.size());
+  w.key("cells").begin_array();
+  for (const analysis::PlacementPrediction& cell : report.cells) {
+    w.begin_object().field("label", cell.label);
+    w.field("placement", cell.placement).field("upmlib", cell.upmlib);
+    w.field("migrated_pages", cell.migrated_pages.size());
+    w.field("frozen_pages", cell.frozen_pages.size());
+    w.key("migrations_per_iteration").begin_array();
+    for (const std::uint64_t migrations : cell.migrations_per_iteration) {
+      w.value(migrations);
     }
-    out += c;
+    w.end_array();
+    w.field("initial_remote_fraction", cell.initial_remote_fraction);
+    w.field("steady_remote_fraction", cell.steady_remote_fraction);
+    w.field("predicted_cost", cell.predicted_cost).end_object();
   }
-  return out;
+  w.end_array().key("diagnostics").begin_array();
+  for (const analysis::Diagnostic& diag : report.diagnostics) {
+    w.begin_object().field("severity", analysis::severity_name(diag.severity));
+    w.field("rule", diag.rule).field("region", diag.region);
+    if (diag.page.has_value()) {
+      w.field("page", diag.page->value());
+    }
+    w.field("message", diag.message).end_object();
+  }
+  w.end_array().end_object();
 }
 
 std::string percent(double fraction) {
@@ -94,61 +116,21 @@ analysis::AdvisorReport advise_benchmark(const RunConfig& config) {
 }
 
 std::string advisor_report_to_json(const analysis::AdvisorReport& report) {
-  std::ostringstream os;
-  os.precision(17);
-  os << "{\"benchmark\": \"" << escape(report.benchmark) << "\", ";
-  os << "\"predicted_best\": \"" << escape(report.predicted_best) << "\", ";
-  os << "\"ft_gap\": " << report.ft_gap << ", ";
-  os << "\"distribution_unnecessary\": "
-     << (report.distribution_unnecessary ? "true" : "false") << ", ";
-  os << "\"timed_phases\": "
-     << report.dataflow.phases.size() << ", ";
-  os << "\"cells\": [";
-  for (std::size_t i = 0; i < report.cells.size(); ++i) {
-    const analysis::PlacementPrediction& cell = report.cells[i];
-    os << (i == 0 ? "" : ", ") << "{";
-    os << "\"label\": \"" << escape(cell.label) << "\", ";
-    os << "\"placement\": \"" << escape(cell.placement) << "\", ";
-    os << "\"upmlib\": " << (cell.upmlib ? "true" : "false") << ", ";
-    os << "\"migrated_pages\": " << cell.migrated_pages.size() << ", ";
-    os << "\"frozen_pages\": " << cell.frozen_pages.size() << ", ";
-    os << "\"migrations_per_iteration\": [";
-    for (std::size_t m = 0; m < cell.migrations_per_iteration.size(); ++m) {
-      os << (m == 0 ? "" : ", ") << cell.migrations_per_iteration[m];
-    }
-    os << "], ";
-    os << "\"initial_remote_fraction\": " << cell.initial_remote_fraction
-       << ", ";
-    os << "\"steady_remote_fraction\": " << cell.steady_remote_fraction
-       << ", ";
-    os << "\"predicted_cost\": " << cell.predicted_cost << "}";
-  }
-  os << "], \"diagnostics\": [";
-  for (std::size_t i = 0; i < report.diagnostics.size(); ++i) {
-    const analysis::Diagnostic& diag = report.diagnostics[i];
-    os << (i == 0 ? "" : ", ") << "{";
-    os << "\"severity\": \"" << analysis::severity_name(diag.severity)
-       << "\", ";
-    os << "\"rule\": \"" << escape(diag.rule) << "\", ";
-    os << "\"region\": \"" << escape(diag.region) << "\", ";
-    if (diag.page.has_value()) {
-      os << "\"page\": " << diag.page->value() << ", ";
-    }
-    os << "\"message\": \"" << escape(diag.message) << "\"}";
-  }
-  os << "]}";
-  return os.str();
+  json::Writer w;
+  append_report(w, report);
+  return w.finish();
 }
 
 void write_advisor_json(const std::string& path,
                         const std::vector<analysis::AdvisorReport>& reports) {
-  std::ostringstream os;
-  os << "{\"advisor\": \"static-placement\", \"reports\": [";
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    os << (i == 0 ? "\n  " : ",\n  ") << advisor_report_to_json(reports[i]);
+  json::Writer w;
+  w.begin_object().field("advisor", "static-placement");
+  w.key("reports").begin_array();
+  for (const analysis::AdvisorReport& report : reports) {
+    append_report(w, report);
   }
-  os << "\n]}\n";
-  atomic_write_file(path, os.str());
+  w.end_array().end_object();
+  atomic_write_file(path, w.finish());
 }
 
 void print_advisor_report(std::ostream& os,

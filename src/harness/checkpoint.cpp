@@ -6,8 +6,8 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "repro/common/atomic_file.hpp"
 #include "repro/common/hash.hpp"
-#include "repro/harness/atomic_file.hpp"
 
 namespace repro::harness {
 

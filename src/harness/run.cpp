@@ -3,13 +3,12 @@
 #include <chrono>
 #include <filesystem>
 #include <memory>
-#include <sstream>
 
 #include "repro/analysis/session.hpp"
 #include "repro/common/assert.hpp"
+#include "repro/common/atomic_file.hpp"
 #include "repro/common/env.hpp"
 #include "repro/common/log.hpp"
-#include "repro/harness/atomic_file.hpp"
 #include "repro/harness/fast_forward.hpp"
 #include "repro/nas/trace_workload.hpp"
 #include "repro/omp/machine.hpp"
@@ -429,12 +428,8 @@ RunResult run_benchmark(const RunConfig& config) {
           trace_dir + "/TRACE_" + benchmark + "_" + result.label;
       // Render in memory, land atomically: a killed run leaves either
       // no dump or a complete one, never a truncated file.
-      std::ostringstream canonical;
-      trace::write_canonical(canonical, *sink);
-      atomic_write_file(stem + ".trace", canonical.str());
-      std::ostringstream chrome;
-      trace::write_chrome_trace(chrome, *sink);
-      atomic_write_file(stem + ".chrome.json", chrome.str());
+      atomic_write_file(stem + ".trace", trace::canonical_dump(*sink));
+      atomic_write_file(stem + ".chrome.json", trace::chrome_trace_json(*sink));
       REPRO_LOG_INFO("trace ", benchmark, " ", result.label,
                      " digest ", result.trace_digest, " -> ", stem,
                      ".{trace,chrome.json}");

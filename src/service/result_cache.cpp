@@ -12,8 +12,8 @@
 #include <sstream>
 
 #include "repro/common/assert.hpp"
+#include "repro/common/atomic_file.hpp"
 #include "repro/common/log.hpp"
-#include "repro/harness/atomic_file.hpp"
 #include "repro/service/protocol.hpp"
 
 namespace repro::service {
@@ -253,7 +253,7 @@ void ResultCache::write_snapshot() {
   for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
     os << encode_journal_entry(it->first, it->second);
   }
-  harness::atomic_write_file(snapshot_path(), os.str());
+  atomic_write_file(snapshot_path(), os.str());
   ++stats_.snapshots;
   appends_since_snapshot_ = 0;
   // Truncate the journal only after the snapshot is durably in place;
@@ -261,7 +261,7 @@ void ResultCache::write_snapshot() {
   // idempotent.
   ::close(journal_fd_);
   journal_fd_ = -1;
-  harness::atomic_write_file(journal_path(), "");
+  atomic_write_file(journal_path(), "");
   open_journal();
 }
 

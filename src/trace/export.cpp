@@ -3,18 +3,11 @@
 #include <ostream>
 #include <sstream>
 
+#include "repro/common/json.hpp"
+
 namespace repro::trace {
 
 namespace {
-
-void escape_json(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\';
-    }
-    os << c;
-  }
-}
 
 /// Microsecond timestamp for the Chrome viewer (its native unit).
 double us(Ns t) { return static_cast<double>(t) / 1e3; }
@@ -63,68 +56,55 @@ std::string digest(const TraceSink& sink) {
   return os.str();
 }
 
-void write_chrome_trace(std::ostream& os, const TraceSink& sink) {
-  os << "{\"displayTimeUnit\": \"ns\", \"traceEvents\": [\n";
-  os.precision(17);
-  bool first = true;
-  const auto comma = [&] {
-    if (!first) {
-      os << ",\n";
-    }
-    first = false;
-  };
+std::string chrome_trace_json(const TraceSink& sink) {
+  json::Writer w;
+  w.begin_object().field("displayTimeUnit", "ns");
+  w.key("traceEvents").begin_array();
   for (const TraceEvent& e : sink.canonical_events()) {
     switch (e.kind) {
       case EventKind::kRegionBegin:
-      case EventKind::kRegionEnd: {
-        comma();
-        os << "{\"ph\": \""
-           << (e.kind == EventKind::kRegionBegin ? 'B' : 'E')
-           << "\", \"pid\": 0, \"tid\": 0, \"ts\": " << us(e.time)
-           << ", \"name\": \"";
-        escape_json(os, sink.phase_name(e.phase));
-        os << "\", \"cat\": \"region\", \"args\": {\"iteration\": "
-           << e.iteration << "}}";
+      case EventKind::kRegionEnd:
+        w.begin_object();
+        w.field("ph", e.kind == EventKind::kRegionBegin ? "B" : "E");
+        w.field("pid", 0).field("tid", 0).field("ts", us(e.time));
+        w.field("name", sink.phase_name(e.phase)).field("cat", "region");
+        w.key("args").begin_object().field("iteration", e.iteration);
+        w.end_object().end_object();
         break;
-      }
-      case EventKind::kBarrierWait: {
+      case EventKind::kBarrierWait:
         if (e.a == 0) {
           break;  // zero-length slices only clutter the viewer
         }
-        comma();
         // tid = simulated thread + 1 keeps thread tracks below the
         // team track (tid 0).
-        os << "{\"ph\": \"X\", \"pid\": 0, \"tid\": " << (e.node + 1)
-           << ", \"ts\": " << us(e.time - e.a) << ", \"dur\": " << us(e.a)
-           << ", \"name\": \"barrier\", \"cat\": \"barrier\", "
-              "\"args\": {\"thread\": "
-           << e.node << ", \"wait_ns\": " << e.a << "}}";
+        w.begin_object().field("ph", "X").field("pid", 0);
+        w.field("tid", e.node + 1).field("ts", us(e.time - e.a));
+        w.field("dur", us(e.a)).field("name", "barrier");
+        w.field("cat", "barrier").key("args").begin_object();
+        w.field("thread", e.node).field("wait_ns", e.a);
+        w.end_object().end_object();
         break;
-      }
-      case EventKind::kQueueSample: {
-        comma();
-        os << "{\"ph\": \"C\", \"pid\": 0, \"ts\": " << us(e.time)
-           << ", \"name\": \"queue_backlog_node" << e.node
-           << "\", \"args\": {\"backlog_ns\": " << e.a << "}}";
+      case EventKind::kQueueSample:
+        w.begin_object().field("ph", "C").field("pid", 0);
+        w.field("ts", us(e.time));
+        w.field("name", "queue_backlog_node" + std::to_string(e.node));
+        w.key("args").begin_object().field("backlog_ns", e.a);
+        w.end_object().end_object();
         break;
-      }
-      default: {
-        comma();
-        os << "{\"ph\": \"i\", \"s\": \"g\", \"pid\": 0, \"tid\": 0, "
-              "\"ts\": "
-           << us(e.time) << ", \"name\": \"" << event_kind_name(e.kind)
-           << "\", \"cat\": \"";
-        escape_json(os, sink.lane_name(e.lane));
-        os << "\", \"args\": {\"iteration\": " << e.iteration
-           << ", \"page\": " << e.page << ", \"node\": " << e.node
-           << ", \"src\": " << e.src << ", \"dst\": " << e.dst
-           << ", \"a\": " << e.a << ", \"b\": " << e.b
-           << ", \"cost_ns\": " << e.cost << "}}";
+      default:
+        w.begin_object().field("ph", "i").field("s", "g").field("pid", 0);
+        w.field("tid", 0).field("ts", us(e.time));
+        w.field("name", event_kind_name(e.kind));
+        w.field("cat", sink.lane_name(e.lane)).key("args").begin_object();
+        w.field("iteration", e.iteration).field("page", e.page);
+        w.field("node", e.node).field("src", e.src).field("dst", e.dst);
+        w.field("a", e.a).field("b", e.b).field("cost_ns", e.cost);
+        w.end_object().end_object();
         break;
-      }
     }
   }
-  os << "\n]}\n";
+  w.end_array().end_object();
+  return w.finish();
 }
 
 }  // namespace repro::trace

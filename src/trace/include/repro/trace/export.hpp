@@ -32,10 +32,10 @@ void write_canonical(std::ostream& os, const TraceSink& sink);
 /// stored by the golden-trace regression suite.
 [[nodiscard]] std::string digest(const TraceSink& sink);
 
-/// Writes the trace in Chrome trace-event JSON ("traceEvents" array):
+/// Renders the trace as Chrome trace-event JSON ("traceEvents" array):
 /// regions as B/E duration events on the team track, barrier waits as
 /// per-thread complete events, queue occupancy as counter tracks, and
 /// everything else as instant events with argument payloads.
-void write_chrome_trace(std::ostream& os, const TraceSink& sink);
+[[nodiscard]] std::string chrome_trace_json(const TraceSink& sink);
 
 }  // namespace repro::trace

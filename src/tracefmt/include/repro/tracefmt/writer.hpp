@@ -1,5 +1,5 @@
 // Streaming trace writer: encodes records into chunked payloads and
-// lands the finished file atomically (tmp + rename, like the harness's
+// lands the finished file atomically (tmp + rename, like common's
 // atomic_write_file -- a killed dump leaves no partial trace).
 #pragma once
 

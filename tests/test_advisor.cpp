@@ -382,6 +382,15 @@ TEST(Sarif, EscapesAndStructuresFindings) {
   EXPECT_NE(doc.find("line1\\nline2"), std::string::npos);
   EXPECT_NE(doc.find("\"version\": \"2.1.0\""), std::string::npos);
   EXPECT_EQ(doc.find('\n', doc.size() - 2), doc.size() - 1);
+
+  // The advisor's JSON verdict carries the same message, escaped.
+  AdvisorReport report;
+  report.benchmark = "CG";
+  report.diagnostics.push_back(diag);
+  const std::string verdict = harness::advisor_report_to_json(report);
+  EXPECT_NE(verdict.find("line1\\nline2"), std::string::npos);
+  EXPECT_NE(verdict.find("phase \\\"with\\\\quotes\\\""), std::string::npos);
+  EXPECT_EQ(verdict.find("line1\nline2"), std::string::npos);
 }
 
 // ---- Severity parsing and canonical order ---------------------------------

@@ -1,12 +1,15 @@
 // Unit tests for the common utilities: contracts, strong ids, RNG,
-// statistics, tables and the Env tunable store.
+// statistics, tables, the Env tunable store and the JSON writer.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
 
 #include "repro/common/assert.hpp"
 #include "repro/common/env.hpp"
+#include "repro/common/json.hpp"
 #include "repro/common/rng.hpp"
 #include "repro/common/stats.hpp"
 #include "repro/common/strong_id.hpp"
@@ -251,6 +254,65 @@ TEST(Env, ScopedOverrideRestores) {
   }
   EXPECT_EQ(global.get_string("SCOPED_KEY", ""), "outer");
   global.unset("SCOPED_KEY");
+}
+
+TEST(JsonWriter, NestsWithCommasAndRowLines) {
+  json::Writer w;
+  w.begin_object().field("name", "cell");
+  w.key("flags").begin_array().value(1).value(false).end_array();
+  w.key("empty").begin_array().end_array();
+  w.key("rows").begin_array();
+  w.begin_object().field("n", -3);
+  w.field("big", std::numeric_limits<std::uint64_t>::max()).end_object();
+  w.begin_array().begin_object().field("k", true).end_object().end_array();
+  w.end_array().key("tail").begin_object().field("x", 0.5).end_object();
+  w.end_object();
+  EXPECT_EQ(w.finish(),
+            "{\"name\": \"cell\", \"flags\": [1, false], \"empty\": [], "
+            "\"rows\": [\n"
+            "  {\"n\": -3, \"big\": 18446744073709551615},\n"
+            "  [\n"
+            "    {\"k\": true}\n"
+            "  ]\n"
+            "], \"tail\": {\"x\": 0.5}}\n");
+}
+
+TEST(JsonWriter, EscapesControlCharacters) {
+  json::Writer w;
+  w.begin_object()
+      .field("k\"ey", std::string("q\"b\\n\nt\tr\r\x01\x1f\x7f\xc3\xa9"))
+      .end_object();
+  EXPECT_EQ(w.finish(),
+            "{\"k\\\"ey\": "
+            "\"q\\\"b\\\\n\\nt\\tr\\r\\u0001\\u001f\x7f\xc3\xa9\"}\n");
+}
+
+TEST(JsonWriter, WritesShortestRoundTripDoubles) {
+  const auto render = [](double v) {
+    json::Writer w;
+    w.value(v);
+    return w.finish();
+  };
+  EXPECT_EQ(render(2.0), "2\n");
+  EXPECT_EQ(render(0.1), "0.1\n");
+  EXPECT_EQ(render(-1.5e-7), "-1.5e-07\n");
+  EXPECT_EQ(render(1.0 / 3.0), "0.3333333333333333\n");
+  EXPECT_EQ(render(std::numeric_limits<double>::quiet_NaN()), "null\n");
+  EXPECT_EQ(render(std::numeric_limits<double>::infinity()), "null\n");
+}
+
+TEST(JsonWriter, RejectsMalformedStructure) {
+  json::Writer keyless;
+  keyless.begin_object();
+  EXPECT_THROW(keyless.value(1), ContractViolation);
+  json::Writer mismatched;
+  mismatched.begin_array();
+  EXPECT_THROW(mismatched.key("k"), ContractViolation);
+  EXPECT_THROW(mismatched.end_object(), ContractViolation);
+  EXPECT_THROW(mismatched.finish(), ContractViolation);
+  json::Writer twice;
+  twice.value(1);
+  EXPECT_THROW(twice.value(2), ContractViolation);
 }
 
 }  // namespace

@@ -12,10 +12,10 @@
 #include <vector>
 
 #include "repro/common/assert.hpp"
+#include "repro/common/atomic_file.hpp"
 #include "repro/common/env.hpp"
 #include "repro/fault/injector.hpp"
 #include "repro/fault/plan.hpp"
-#include "repro/harness/atomic_file.hpp"
 #include "repro/harness/checkpoint.hpp"
 #include "repro/harness/json.hpp"
 #include "repro/harness/scheduler.hpp"

@@ -214,9 +214,7 @@ TEST(ChromeTrace, EmitsRegionBarrierCounterAndInstantEvents) {
   mig.page = 9;
   sink.emit(lane, mig);
 
-  std::ostringstream os;
-  write_chrome_trace(os, sink);
-  const std::string json = os.str();
+  const std::string json = chrome_trace_json(sink);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"B\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"E\""), std::string::npos);

@@ -6,11 +6,13 @@ Usage:
     tools/perf_compare.py --advisor-json BENCH_advisor_validation.json \
         [--min-precision 0.8]
 
-Every benchmark present in both files is compared on its
-`items_per_second` counter when available (higher is better), falling
-back to `real_time` (lower is better).  A readable delta table is
-printed; any benchmark outside the +/-band guard window marks the run
-as failed and the script exits nonzero.
+Every benchmark present in both files is compared. Each `sim_*` field
+present in both rows (a simulated quantity such as `sim_total_ns`) must
+match exactly: the simulation is deterministic, so any difference is a
+model change. The host timing, `items_per_second` when available
+(higher is better), else `real_time` (lower is better), must stay
+within the +/-band guard window. A readable delta table is printed;
+any failed comparison exits nonzero.
 
 With --advisor-json the script instead summarizes an advisor
 validation run (bench/advisor_validation --json): the aggregate
@@ -19,7 +21,7 @@ and any gated metric below --min-precision (or a negative Kendall tau)
 exits nonzero -- the same gate the bench itself applies, usable on an
 archived JSON artifact without rerunning the sweep.
 
-The baseline lives in bench/baseline/BENCH_micro_engine.json and is
+The baselines live in bench/baseline/. BENCH_micro_engine.json is
 regenerated on purposeful perf changes with:
 
     ./build/bench/micro_engine --benchmark_min_time=0.2 \
@@ -29,11 +31,15 @@ regenerated on purposeful perf changes with:
 On a noisy host, run it a few times and keep, per benchmark, the entry
 with the lowest real_time ("best of N"): minima are far more stable
 than single runs, and a too-slow baseline would hide regressions.
+BENCH_scale_sweep.json and BENCH_coherence_sweep.json hold simulated
+totals only; after an intentional model change, regenerate them with
+`scale_sweep --fast --json=bench/baseline` and
+`coherence_sweep --json=bench/baseline`.
 
 Absolute timings shift with host hardware; the guard band is meant for
 same-machine A/B runs (local development, a dedicated perf runner). On
-shared CI the compare step is advisory (continue-on-error) and the
-table is what reviewers read.
+shared CI the timing compares are advisory (continue-on-error) and the
+table is what reviewers read; the exact sim_* compare is a hard gate.
 """
 
 import argparse
@@ -42,20 +48,20 @@ import sys
 
 
 def load_benchmarks(path):
-    """Returns {name: (metric_value, metric_kind)} for a benchmark JSON."""
+    """Returns {name: row} for the non-aggregate rows of a benchmark JSON."""
     with open(path, "r", encoding="utf-8") as f:
         data = json.load(f)
-    out = {}
-    for bench in data.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
-            continue
-        name = bench["name"]
-        if "items_per_second" in bench:
-            out[name] = (float(bench["items_per_second"]), "items/s")
-        elif "real_time" in bench:
-            unit = bench.get("time_unit", "ns")
-            out[name] = (float(bench["real_time"]), "time:" + unit)
-    return out
+    return {bench["name"]: bench for bench in data.get("benchmarks", [])
+            if bench.get("run_type") != "aggregate"}
+
+
+def timing(row):
+    """Returns (value, kind) of a row's host timing; kind None if none."""
+    if "items_per_second" in row:
+        return float(row["items_per_second"]), "items/s"
+    if "real_time" in row:
+        return float(row["real_time"]), "time:" + row.get("time_unit", "ns")
+    return 0.0, None
 
 
 def fmt_rate(value):
@@ -141,17 +147,19 @@ def main():
     base = load_benchmarks(args.baseline)
     cur = load_benchmarks(args.current)
     shared = [name for name in base if name in cur]
-    if not shared:
-        print("perf_compare: no common benchmarks between the two files",
-              file=sys.stderr)
-        return 2
 
     rows = []
-    failures = 0
     for name in shared:
-        base_value, kind = base[name]
-        cur_value, cur_kind = cur[name]
-        if kind != cur_kind or base_value <= 0:
+        for field, base_value in base[name].items():
+            cur_value = cur[name].get(field)
+            if field.startswith("sim_") and cur_value is not None:
+                ok = cur_value == base_value
+                rows.append((f"{name} {field}", f"{base_value} -> {cur_value}",
+                             0.0 if ok else cur_value / base_value - 1.0,
+                             "ok" if ok else "CHANGED"))
+        base_value, kind = timing(base[name])
+        cur_value, cur_kind = timing(cur[name])
+        if kind is None or kind != cur_kind or base_value <= 0:
             continue
         # Normalize so that delta > 0 always means "faster".
         if kind == "items/s":
@@ -162,25 +170,28 @@ def main():
             delta = base_value / cur_value - 1.0
             shown = f"{base_value:.1f}{unit} -> {cur_value:.1f}{unit}"
         ok = abs(delta) <= args.band
-        if not ok:
-            failures += 1
-        rows.append((name, shown, delta, ok))
+        rows.append((name, shown, delta, "ok" if ok else
+                     ("REGRESSED" if delta < 0 else "IMPROVED*")))
+    if not rows:
+        print("perf_compare: nothing comparable between the two files",
+              file=sys.stderr)
+        return 2
 
     name_width = max(len(r[0]) for r in rows)
     value_width = max(len(r[1]) for r in rows)
     print(f"{'benchmark':<{name_width}}  {'baseline -> current':<{value_width}}"
           f"  {'delta':>8}  verdict")
     print("-" * (name_width + value_width + 22))
-    for name, shown, delta, ok in rows:
-        verdict = "ok" if ok else ("REGRESSED" if delta < 0 else "IMPROVED*")
+    for name, shown, delta, verdict in rows:
         print(f"{name:<{name_width}}  {shown:<{value_width}}"
               f"  {delta:+8.1%}  {verdict}")
+    failures = sum(verdict != "ok" for *_, verdict in rows)
     if failures:
-        print(f"\n{failures} benchmark(s) outside the +/-{args.band:.0%} "
-              "guard band. If intentional, regenerate the baseline "
-              "(see tools/perf_compare.py --help).")
+        print(f"\n{failures} comparison(s) failed (sim_* changed or timing "
+              f"outside +/-{args.band:.0%}). If intentional, regenerate the "
+              "baseline (see tools/perf_compare.py --help).")
         return 1
-    print(f"\nall {len(rows)} shared benchmarks within +/-{args.band:.0%}")
+    print(f"\nall {len(rows)} comparisons ok")
     return 0
 
 
