@@ -9,9 +9,9 @@
 // 5x (the acceptance gate --smoke enforces in CI), because every flag
 // write invalidates the neighbours' copies.
 //
-// Rows written to BENCH_coherence_sweep.json (google-benchmark shape)
-// carry the cell's integer simulated total `sim_total_ns` and its
-// coherence counters, all deterministic: no host time is measured.
+// Rows written to BENCH_coherence_sweep.json carry the cell's integer
+// simulated total `sim_total_ns` and its coherence counters, all
+// deterministic: no host time is measured.
 //
 // Usage: coherence_sweep [--iterations=N] [--jobs=N] [--json=DIR]
 //                        [--verify-determinism] [--smoke]
@@ -123,8 +123,9 @@ int main(int argc, char** argv) {
                "REPRO_CELL_TIMEOUT_MS)",
                /*min=*/1);
   cli.add_string("json", &json_dir,
-                 "directory for BENCH_coherence_sweep.json "
-                 "(google-benchmark shape plus coherence counters)");
+                 "directory for BENCH_coherence_sweep.json (rows carry an "
+                 "integer sim_total_ns plus coherence counters, no host "
+                 "time)");
   cli.add_flag("verify-determinism", &verify,
                "run the matrix under --jobs, --jobs=1 and again under "
                "--jobs, and require byte-identical trace digests");

@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks for the building blocks: cache
-// touches, directory transitions, counter updates, the memory-system
-// access path, page migration, UPMlib scan/migrate passes and whole
-// simulated iterations. These measure *host* performance of the
+// touches, directory transitions, counter updates, machine set-up, the
+// memory-system access path, page migration, UPMlib scan/migrate passes
+// and whole simulated iterations. These measure *host* performance of the
 // simulator (how fast the reproduction runs), not simulated time.
 #include <benchmark/benchmark.h>
 
@@ -46,6 +46,15 @@ void BM_CounterIncrement(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CounterIncrement);
+
+void BM_MachineCreate(benchmark::State& state) {
+  // Per-cell set-up of the paper's 16-node machine: construct + destroy.
+  const memsys::MachineConfig config;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(omp::Machine::create(config));
+  }
+}
+BENCHMARK(BM_MachineCreate);
 
 void BM_TopologyHops(benchmark::State& state) {
   const topo::FatHypercube topology(64);

@@ -134,8 +134,8 @@ int main(int argc, char** argv) {
                  "size_scale of the 16-node cell (weak scaling multiplies "
                  "it by nodes/16)");
   cli.add_string("json", &json_dir,
-                 "directory for BENCH_scale_sweep.json (google-benchmark "
-                 "shape, simulated ms per iteration)");
+                 "directory for BENCH_scale_sweep.json (rows carry an "
+                 "integer sim_total_ns, no host time)");
   cli.add_flag("verify-determinism", &verify,
                "run the matrix under --jobs, --jobs=1 and again under "
                "--jobs, and require byte-identical trace digests");

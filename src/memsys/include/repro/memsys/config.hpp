@@ -17,11 +17,12 @@
 namespace repro::memsys {
 
 /// Backing store for the page-grain bookkeeping structures (page table,
-/// directory, page caches, reference-counter rows). Dense arrays are
-/// O(pages) / O(pages x nodes) regardless of how many pages are live;
-/// the sparse open-addressed backends track only live entries. kAuto
-/// picks dense at the paper's scale (<= 64 procs) and sparse beyond,
-/// where the dense footprint would dominate the simulation.
+/// directory, page caches). Dense arrays are O(pages) regardless of how
+/// many pages are live; the sparse open-addressed backends track only
+/// live entries. kAuto picks dense at the paper's scale (<= 64 procs)
+/// and sparse beyond, where the dense footprint would dominate the
+/// simulation. (The reference counters have one backend, sized by the
+/// frames a run touches.)
 enum class TableBackend : std::uint8_t { kAuto, kDense, kSparse };
 
 struct MachineConfig {

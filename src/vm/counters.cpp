@@ -1,96 +1,78 @@
 #include "repro/vm/counters.hpp"
 
 #include <algorithm>
+#include <bit>
 
-#include "repro/common/assert.hpp"
 #include "repro/common/hash.hpp"
 
 namespace repro::vm {
 
+namespace {
+constexpr std::size_t kChunkCounters = (16 * 1024) / sizeof(std::uint32_t);
+
+// Whole frame rows per chunk, rounded down to a power of two so that a
+// frame's chunk and row are a shift and a mask.
+unsigned chunk_shift_for(std::size_t num_nodes) {
+  const std::size_t rows = kChunkCounters / std::max<std::size_t>(1, num_nodes);
+  return static_cast<unsigned>(std::bit_width(std::max<std::size_t>(1, rows))) -
+         1;
+}
+}  // namespace
+
 RefCounters::RefCounters(std::size_t num_frames, std::size_t num_nodes,
-                         unsigned counter_bits, bool sparse)
+                         unsigned counter_bits)
     : num_frames_(num_frames),
       num_nodes_(num_nodes),
       max_((1u << counter_bits) - 1u),
-      sparse_(sparse) {
+      chunk_shift_(chunk_shift_for(num_nodes)),
+      chunk_mask_((std::size_t{1} << chunk_shift_) - 1),
+      chunks_((num_frames + chunk_mask_) >> chunk_shift_),
+      zero_row_(num_nodes, 0) {
   REPRO_REQUIRE(num_frames >= 1);
   REPRO_REQUIRE(num_nodes >= 1);
   REPRO_REQUIRE(counter_bits >= 1 && counter_bits <= 31);
-  if (sparse_) {
-    zero_row_.assign(num_nodes_, 0);
-  } else {
-    values_.assign(num_frames * num_nodes, 0);
-  }
 }
 
-std::size_t RefCounters::index(FrameId frame, NodeId node) const {
+std::size_t RefCounters::chunk_size(std::size_t c) const {
+  const std::size_t first = c << chunk_shift_;
+  return std::min(chunk_mask_ + 1, num_frames_ - first) * num_nodes_;
+}
+
+std::uint32_t* RefCounters::allocate_chunk(std::size_t c) {
+  chunks_[c] = std::make_unique<std::uint32_t[]>(chunk_size(c));
+  return chunks_[c].get();
+}
+
+std::uint32_t* RefCounters::find_row(FrameId frame) const {
   REPRO_REQUIRE(frame.value() < num_frames_);
-  REPRO_REQUIRE(node.value() < num_nodes_);
-  return static_cast<std::size_t>(frame.value()) * num_nodes_ + node.value();
-}
-
-const std::uint32_t* RefCounters::find_row(FrameId frame) const {
-  REPRO_REQUIRE(frame.value() < num_frames_);
-  const std::uint32_t* row = row_of_.find(frame.value());
-  return row == nullptr ? nullptr : rows_.data() + *row * num_nodes_;
-}
-
-std::uint32_t* RefCounters::ensure_row(FrameId frame) {
-  REPRO_REQUIRE(frame.value() < num_frames_);
-  if (const std::uint32_t* row = row_of_.find(frame.value())) {
-    return rows_.data() + *row * num_nodes_;
-  }
-  const auto row = static_cast<std::uint32_t>(rows_.size() / num_nodes_);
-  rows_.resize(rows_.size() + num_nodes_, 0);
-  row_of_[frame.value()] = row;
-  return rows_.data() + static_cast<std::size_t>(row) * num_nodes_;
-}
-
-void RefCounters::increment(FrameId frame, NodeId node, std::uint32_t n) {
-  std::uint32_t& v = sparse_ ? ensure_row(frame)[node.value()]
-                             : values_[index(frame, node)];
-  v = (max_ - v < n) ? max_ : v + n;
+  const auto f = static_cast<std::size_t>(frame.value());
+  std::uint32_t* chunk = chunks_[f >> chunk_shift_].get();
+  return chunk == nullptr ? nullptr : chunk + (f & chunk_mask_) * num_nodes_;
 }
 
 std::span<const std::uint32_t> RefCounters::read(FrameId frame) const {
-  if (sparse_) {
-    const std::uint32_t* row = find_row(frame);
-    return {row == nullptr ? zero_row_.data() : row, num_nodes_};
-  }
-  REPRO_REQUIRE(frame.value() < num_frames_);
-  return {values_.data() +
-              static_cast<std::size_t>(frame.value()) * num_nodes_,
-          num_nodes_};
+  const std::uint32_t* row = find_row(frame);
+  return {row == nullptr ? zero_row_.data() : row, num_nodes_};
 }
 
 std::uint32_t RefCounters::read(FrameId frame, NodeId node) const {
-  if (sparse_) {
-    REPRO_REQUIRE(node.value() < num_nodes_);
-    const std::uint32_t* row = find_row(frame);
-    return row == nullptr ? 0 : row[node.value()];
-  }
-  return values_[index(frame, node)];
+  REPRO_REQUIRE(node.value() < num_nodes_);
+  const std::uint32_t* row = find_row(frame);
+  return row == nullptr ? 0 : row[node.value()];
 }
 
 void RefCounters::reset(FrameId frame) {
-  REPRO_REQUIRE(frame.value() < num_frames_);
-  if (sparse_) {
-    // The row stays allocated (indices are stable); a zeroed row and a
-    // never-touched frame are indistinguishable to readers and digests.
-    if (const std::uint32_t* row = row_of_.find(frame.value())) {
-      auto* base = rows_.data() + *row * num_nodes_;
-      std::fill(base, base + num_nodes_, 0u);
-    }
-    return;
+  if (std::uint32_t* row = find_row(frame)) {
+    std::fill(row, row + num_nodes_, 0u);
   }
-  auto* base =
-      values_.data() + static_cast<std::size_t>(frame.value()) * num_nodes_;
-  std::fill(base, base + num_nodes_, 0u);
 }
 
 void RefCounters::reset_all() {
-  std::fill(values_.begin(), values_.end(), 0u);
-  std::fill(rows_.begin(), rows_.end(), 0u);
+  for (std::size_t c = 0; c < chunks_.size(); ++c) {
+    if (chunks_[c] != nullptr) {
+      std::fill(chunks_[c].get(), chunks_[c].get() + chunk_size(c), 0u);
+    }
+  }
 }
 
 NodeId RefCounters::argmax_node(FrameId frame) const {
@@ -100,31 +82,19 @@ NodeId RefCounters::argmax_node(FrameId frame) const {
 }
 
 std::uint64_t RefCounters::digest() const {
-  // Both backends mix the *logical* array size (frames x nodes) and the
-  // nonzero counters at their frame-major flat indices, so sparse and
-  // dense machines with equal counter state digest identically.
   StateHash hash;
   hash.mix(num_frames_ * num_nodes_);
-  if (sparse_) {
-    std::vector<std::uint64_t> frames;
-    frames.reserve(row_of_.size());
-    row_of_.for_each(
-        [&](std::uint64_t frame, std::uint32_t) { frames.push_back(frame); });
-    std::sort(frames.begin(), frames.end());
-    for (const std::uint64_t frame : frames) {
-      const std::uint32_t* row = find_row(FrameId(frame));
-      for (std::size_t n = 0; n < num_nodes_; ++n) {
-        if (row[n] != 0) {
-          hash.mix(frame * num_nodes_ + n);
-          hash.mix(row[n]);
-        }
-      }
+  for (std::size_t c = 0; c < chunks_.size(); ++c) {
+    const std::uint32_t* chunk = chunks_[c].get();
+    if (chunk == nullptr) {
+      continue;
     }
-  } else {
-    for (std::size_t i = 0; i < values_.size(); ++i) {
-      if (values_[i] != 0) {
-        hash.mix(i);
-        hash.mix(values_[i]);
+    const std::size_t base = (c << chunk_shift_) * num_nodes_;
+    const std::size_t size = chunk_size(c);
+    for (std::size_t i = 0; i < size; ++i) {
+      if (chunk[i] != 0) {
+        hash.mix(base + i);
+        hash.mix(chunk[i]);
       }
     }
   }

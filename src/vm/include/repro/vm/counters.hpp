@@ -7,20 +7,22 @@
 // are hot, while UPMlib resets them at iteration boundaries and so keeps
 // full-precision per-iteration traces.
 //
-// The dense backend materializes the full frames x nodes array up
-// front (exact hardware shape; fine at 16 nodes). At 512 nodes that
-// array alone is tens of GiB, so the sparse backend allocates counter
-// rows lazily, only for frames that have ever been incremented;
-// untouched frames read as a shared zero row. Digests are
-// backend-identical: both mix frames x nodes and then every nonzero
-// counter in frame-major order.
+// Storage follows the frames a run touches, not the machine: counters
+// live in fixed 16 KiB chunks of whole frame rows, allocated on the
+// first increment of any frame in the chunk and never freed, so a row
+// once written never moves. A frame whose chunk was never allocated
+// reads as a shared zero row. The digest mixes the logical size
+// (frames x nodes) and then every nonzero counter at its frame-major
+// flat index, exactly as a dense frames x nodes array would, walking
+// only allocated chunks.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
-#include "repro/common/flat_map.hpp"
+#include "repro/common/assert.hpp"
 #include "repro/common/strong_id.hpp"
 
 namespace repro::vm {
@@ -28,10 +30,20 @@ namespace repro::vm {
 class RefCounters {
  public:
   RefCounters(std::size_t num_frames, std::size_t num_nodes,
-              unsigned counter_bits, bool sparse = false);
+              unsigned counter_bits);
 
   /// Adds `n` accesses from `node` to `frame`, saturating.
-  void increment(FrameId frame, NodeId node, std::uint32_t n);
+  void increment(FrameId frame, NodeId node, std::uint32_t n) {
+    REPRO_REQUIRE(frame.value() < num_frames_);
+    REPRO_REQUIRE(node.value() < num_nodes_);
+    const auto f = static_cast<std::size_t>(frame.value());
+    std::uint32_t* chunk = chunks_[f >> chunk_shift_].get();
+    if (chunk == nullptr) [[unlikely]] {
+      chunk = allocate_chunk(f >> chunk_shift_);
+    }
+    std::uint32_t& v = chunk[(f & chunk_mask_) * num_nodes_ + node.value()];
+    v = (max_ - v < n) ? max_ : v + n;
+  }
 
   /// Counter values for one frame, indexed by node.
   [[nodiscard]] std::span<const std::uint32_t> read(FrameId frame) const;
@@ -62,22 +74,18 @@ class RefCounters {
   std::size_t num_frames_;
   std::size_t num_nodes_;
   std::uint32_t max_;
-  bool sparse_;
-
-  // Dense backend: frame-major [frame][node].
-  std::vector<std::uint32_t> values_;
-
-  // Sparse backend: rows allocated on first increment, never freed
-  // (row indices stay stable), zeroed on reset.
-  FlatMap<std::uint32_t> row_of_;      // frame -> row index
-  std::vector<std::uint32_t> rows_;    // row-major pool, num_nodes_ each
+  unsigned chunk_shift_;    // log2(frames per chunk)
+  std::size_t chunk_mask_;  // frames per chunk - 1
+  // chunks_[c] holds frames [c << chunk_shift_, (c + 1) << chunk_shift_)
+  // frame-major, or is null while none of them was ever incremented.
+  std::vector<std::unique_ptr<std::uint32_t[]>> chunks_;
   std::vector<std::uint32_t> zero_row_;
 
-  [[nodiscard]] std::size_t index(FrameId frame, NodeId node) const;
-  /// Row for `frame`, or nullptr when it was never incremented.
-  [[nodiscard]] const std::uint32_t* find_row(FrameId frame) const;
-  /// Row for `frame`, allocating a zeroed one when absent.
-  [[nodiscard]] std::uint32_t* ensure_row(FrameId frame);
+  /// Number of counters in chunk `c` (the last one may be short).
+  [[nodiscard]] std::size_t chunk_size(std::size_t c) const;
+  std::uint32_t* allocate_chunk(std::size_t c);
+  /// Row for `frame`, or nullptr when its chunk was never allocated.
+  [[nodiscard]] std::uint32_t* find_row(FrameId frame) const;
 };
 
 }  // namespace repro::vm

@@ -5,6 +5,11 @@
 // of memory, in which case the kernel forwards the page to the
 // physically closest node with space (best effort). That behaviour lives
 // here so both the kernel daemon and UPMlib inherit it.
+//
+// Allocation order (part of every golden digest): a node hands out its
+// most recently freed frame first, and otherwise its lowest never-used
+// frame. Storage follows use, not the node's size: a per-node offset of
+// the next never-used frame plus a stack of freed frames.
 #pragma once
 
 #include <cstdint>
@@ -47,8 +52,9 @@ class PhysicalMemory {
   std::size_t num_nodes_;
   std::size_t frames_per_node_;
   const topo::Topology* topology_;
-  std::vector<std::vector<FrameId>> free_lists_;  // by node (LIFO)
-  std::vector<bool> allocated_;                   // by frame
+  std::vector<std::size_t> fresh_;             // by node: next never-used
+  std::vector<std::vector<FrameId>> freed_;    // by node (LIFO)
+  std::vector<bool> allocated_;                // by frame
 };
 
 }  // namespace repro::vm

@@ -12,28 +12,26 @@ PhysicalMemory::PhysicalMemory(std::size_t num_nodes,
     : num_nodes_(num_nodes),
       frames_per_node_(frames_per_node),
       topology_(&topology),
-      free_lists_(num_nodes),
+      fresh_(num_nodes, 0),
+      freed_(num_nodes),
       allocated_(num_nodes * frames_per_node, false) {
   REPRO_REQUIRE(num_nodes >= 1 && frames_per_node >= 1);
   REPRO_REQUIRE(topology.num_nodes() == num_nodes);
-  for (std::size_t n = 0; n < num_nodes_; ++n) {
-    auto& list = free_lists_[n];
-    list.reserve(frames_per_node_);
-    // Push in reverse so the lowest frame id pops first (determinism).
-    for (std::size_t f = frames_per_node_; f-- > 0;) {
-      list.push_back(FrameId(n * frames_per_node_ + f));
-    }
-  }
 }
 
 std::optional<FrameId> PhysicalMemory::allocate_strict(NodeId node) {
   REPRO_REQUIRE(node.value() < num_nodes_);
-  auto& list = free_lists_[node.value()];
-  if (list.empty()) {
+  auto& freed = freed_[node.value()];
+  std::size_t& fresh = fresh_[node.value()];
+  FrameId frame;
+  if (!freed.empty()) {
+    frame = freed.back();
+    freed.pop_back();
+  } else if (fresh < frames_per_node_) {
+    frame = FrameId(node.value() * frames_per_node_ + fresh++);
+  } else {
     return std::nullopt;
   }
-  const FrameId frame = list.back();
-  list.pop_back();
   allocated_[static_cast<std::size_t>(frame.value())] = true;
   return frame;
 }
@@ -49,7 +47,7 @@ std::optional<FrameId> PhysicalMemory::allocate(
   unsigned best_hops = std::numeric_limits<unsigned>::max();
   std::optional<NodeId> best;
   for (std::uint32_t n = 0; n < num_nodes_; ++n) {
-    if (free_lists_[n].empty() || (exclude && exclude->value() == n)) {
+    if (free_frames(NodeId(n)) == 0 || (exclude && exclude->value() == n)) {
       continue;
     }
     const unsigned h = topology_->hops(preferred, NodeId(n));
@@ -69,7 +67,7 @@ void PhysicalMemory::free(FrameId frame) {
   REPRO_REQUIRE(idx < allocated_.size());
   REPRO_REQUIRE_MSG(allocated_[idx], "double free of physical frame");
   allocated_[idx] = false;
-  free_lists_[node_of(frame).value()].push_back(frame);
+  freed_[node_of(frame).value()].push_back(frame);
 }
 
 NodeId PhysicalMemory::node_of(FrameId frame) const {
@@ -80,13 +78,14 @@ NodeId PhysicalMemory::node_of(FrameId frame) const {
 
 std::size_t PhysicalMemory::free_frames(NodeId node) const {
   REPRO_REQUIRE(node.value() < num_nodes_);
-  return free_lists_[node.value()].size();
+  return frames_per_node_ - fresh_[node.value()] +
+         freed_[node.value()].size();
 }
 
 std::size_t PhysicalMemory::total_free() const {
   std::size_t total = 0;
-  for (const auto& list : free_lists_) {
-    total += list.size();
+  for (std::uint32_t n = 0; n < num_nodes_; ++n) {
+    total += free_frames(NodeId(n));
   }
   return total;
 }

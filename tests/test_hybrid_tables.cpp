@@ -19,7 +19,6 @@
 #include "repro/harness/scheduler.hpp"
 #include "repro/memsys/directory.hpp"
 #include "repro/memsys/page_cache.hpp"
-#include "repro/vm/counters.hpp"
 #include "repro/vm/page_table.hpp"
 
 namespace repro {
@@ -250,43 +249,6 @@ TEST(HybridPageCache, BackendsAgreeOnLruBehaviourAndDigest) {
   EXPECT_EQ(dense.size(), 0u);
   EXPECT_EQ(sparse.size(), 0u);
   EXPECT_FALSE(sparse.contains(VPage(1)));
-}
-
-TEST(HybridRefCounters, BackendsAgreeOnReadsArgmaxAndDigest) {
-  constexpr std::size_t kFrames = 2048;
-  constexpr std::size_t kNodes = 32;
-  vm::RefCounters dense(kFrames, kNodes, /*counter_bits=*/11,
-                        /*sparse=*/false);
-  vm::RefCounters sparse(kFrames, kNodes, /*counter_bits=*/11,
-                         /*sparse=*/true);
-
-  Rng rng{99};
-  for (std::uint32_t step = 0; step < 4000; ++step) {
-    const std::uint64_t roll = rng.next();
-    const FrameId frame(roll % kFrames);
-    const NodeId node(static_cast<std::uint32_t>((roll >> 16) % kNodes));
-    if ((roll >> 40) % 16 == 0) {
-      dense.reset(frame);
-      sparse.reset(frame);
-    } else {
-      const auto n = static_cast<std::uint32_t>((roll >> 24) % 600);
-      dense.increment(frame, node, n);
-      sparse.increment(frame, node, n);
-    }
-    if ((step % 997) == 0) {
-      ASSERT_EQ(dense.digest(), sparse.digest()) << "step " << step;
-    }
-  }
-  EXPECT_EQ(dense.digest(), sparse.digest());
-  for (std::uint64_t f = 0; f < kFrames; f += 7) {
-    EXPECT_EQ(dense.argmax_node(FrameId(f)), sparse.argmax_node(FrameId(f)));
-    EXPECT_EQ(dense.read(FrameId(f), NodeId(3)),
-              sparse.read(FrameId(f), NodeId(3)));
-  }
-  // An untouched frame reads as zeros in both backends.
-  dense.reset_all();
-  sparse.reset_all();
-  EXPECT_EQ(dense.digest(), sparse.digest());
 }
 
 // The satellite acceptance gate: the full 30-cell golden grid (every
