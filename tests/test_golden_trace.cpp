@@ -3,17 +3,18 @@
 // One tiny configuration per benchmark x placement x engine is run
 // under tracing, and its canonical-trace digest plus its
 // migrations-per-timed-iteration vector are compared against the
-// checked-in goldens in tests/golden/trace_digests.txt. Any change to
-// the simulated timeline -- placement, migration policy, cost model,
-// event schema -- shows up as a digest mismatch here before it can
-// silently shift the paper figures.
+// checked-in goldens: tests/golden/trace_digests.txt for the
+// base/UPMlib placement matrix and tests/golden/daemon_digests.txt for
+// the kernel migration daemon (IRIXmig) cells. Any change to the
+// simulated timeline -- placement, migration policy, cost model, event
+// schema -- shows up as a digest mismatch here before it can silently
+// shift the paper figures.
 //
 // Regenerate the goldens after an intentional change with:
 //
 //   REPRO_UPDATE_GOLDEN=1 ./build/tests/test_golden_trace
 //
-// and review the diff of tests/golden/trace_digests.txt like any other
-// code change.
+// and review the diff of both files like any other code change.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -30,26 +31,45 @@ namespace repro::harness {
 namespace {
 
 constexpr const char* kGoldenFile = GOLDEN_DIR "/trace_digests.txt";
+/// The IRIXmig cells have a file of their own: trace_digests.txt stays
+/// the 30-cell placement matrix that the benchmark tools and CI
+/// cross-check against.
+constexpr const char* kDaemonGoldenFile = GOLDEN_DIR "/daemon_digests.txt";
 
 /// The golden matrix: every benchmark under the paper's three main
-/// placements, base vs UPMlib distribution. Small enough to run in
-/// seconds, large enough that every emitting subsystem is covered.
+/// placements, base vs UPMlib distribution, plus the IRIX kernel
+/// migration daemon under the two placements it has work to do in
+/// (rr and wc migrate pages every timed iteration, so these digests pin
+/// the daemon's decisions). Small enough to run in seconds, large
+/// enough that every emitting subsystem is covered.
 std::vector<RunConfig> golden_configs() {
+  const auto make = [](const std::string& benchmark,
+                       const std::string& placement) {
+    RunConfig config;
+    config.benchmark = benchmark;
+    config.placement = placement;
+    config.iterations = 3;
+    config.workload.size_scale = 0.25;
+    config.trace = true;
+    return config;
+  };
   std::vector<RunConfig> configs;
   for (const auto& benchmark : nas::workload_names()) {
     for (const std::string placement : {"ft", "rr", "wc"}) {
       for (const bool upmlib : {false, true}) {
-        RunConfig config;
-        config.benchmark = benchmark;
-        config.placement = placement;
-        config.iterations = 3;
-        config.workload.size_scale = 0.25;
-        config.trace = true;
+        RunConfig config = make(benchmark, placement);
         if (upmlib) {
           config.upm_mode = nas::UpmMode::kDistribution;
         }
         configs.push_back(std::move(config));
       }
+    }
+  }
+  for (const auto& benchmark : nas::workload_names()) {
+    for (const std::string placement : {"rr", "wc"}) {
+      RunConfig config = make(benchmark, placement);
+      config.kernel_migration = true;
+      configs.push_back(std::move(config));
     }
   }
   return configs;
@@ -85,44 +105,61 @@ struct GoldenEntry {
   std::string migrations;  // rendered vector
 };
 
+bool is_daemon_cell(const RunResult& result) {
+  return result.label.find("IRIXmig") != std::string::npos;
+}
+
 std::map<std::string, GoldenEntry> load_goldens() {
   std::map<std::string, GoldenEntry> goldens;
-  std::ifstream in(kGoldenFile);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line.front() == '#') {
-      continue;
+  for (const char* path : {kGoldenFile, kDaemonGoldenFile}) {
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.empty() || line.front() == '#') {
+        continue;
+      }
+      std::istringstream fields(line);
+      std::string benchmark;
+      std::string label;
+      GoldenEntry entry;
+      fields >> benchmark >> label >> entry.digest >> entry.migrations;
+      goldens[benchmark + " " + label] = entry;
     }
-    std::istringstream fields(line);
-    std::string benchmark;
-    std::string label;
-    GoldenEntry entry;
-    fields >> benchmark >> label >> entry.digest >> entry.migrations;
-    goldens[benchmark + " " + label] = entry;
   }
   return goldens;
 }
 
 void write_goldens(const std::vector<RunResult>& results) {
-  std::ofstream out(kGoldenFile);
-  ASSERT_TRUE(out.good()) << "cannot write " << kGoldenFile;
-  out << "# Golden canonical-trace digests (FNV-1a 64 of the canonical "
-         "dump)\n"
-         "# for the tiny regression matrix: every benchmark x {ft, rr, "
-         "wc}\n"
-         "# x {base, upmlib}, iterations=3, size_scale=0.25.\n"
-         "#\n"
-         "# Regenerate: REPRO_UPDATE_GOLDEN=1 "
-         "./build/tests/test_golden_trace\n"
-         "#\n"
-         "# benchmark label digest migrations_per_timed_iteration\n";
-  for (const RunResult& r : results) {
-    out << key_of(r) << ' ' << r.trace_digest << ' '
-        << render_vector(migration_vector(r)) << '\n';
+  for (const bool daemon : {false, true}) {
+    const char* path = daemon ? kDaemonGoldenFile : kGoldenFile;
+    std::ofstream out(path);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << "# Golden canonical-trace digests (FNV-1a 64 of the canonical "
+           "dump)\n";
+    if (daemon) {
+      out << "# for the kernel migration daemon: every benchmark x {rr, "
+             "wc}\n"
+             "# x IRIXmig, iterations=3, size_scale=0.25.\n";
+    } else {
+      out << "# for the tiny regression matrix: every benchmark x {ft, rr, "
+             "wc}\n"
+             "# x {base, upmlib}, iterations=3, size_scale=0.25.\n";
+    }
+    out << "#\n"
+           "# Regenerate: REPRO_UPDATE_GOLDEN=1 "
+           "./build/tests/test_golden_trace\n"
+           "#\n"
+           "# benchmark label digest migrations_per_timed_iteration\n";
+    for (const RunResult& r : results) {
+      if (is_daemon_cell(r) == daemon) {
+        out << key_of(r) << ' ' << r.trace_digest << ' '
+            << render_vector(migration_vector(r)) << '\n';
+      }
+    }
   }
 }
 
-// One TEST on purpose: the 30-cell matrix runs twice (jobs=4 and
+// One TEST on purpose: the 40-cell matrix runs twice (jobs=4 and
 // jobs=1) and every assertion below reuses those results.
 TEST(GoldenTrace, DigestsStableAcrossJobsAndMatchCheckedInGoldens) {
   const std::vector<RunConfig> configs = golden_configs();
@@ -166,8 +203,9 @@ TEST(GoldenTrace, DigestsStableAcrossJobsAndMatchCheckedInGoldens) {
 
   if (Env::global().get_bool("REPRO_UPDATE_GOLDEN", false)) {
     write_goldens(serial);
-    std::cout << "[  UPDATED ] " << kGoldenFile << " ("
-              << serial.size() << " entries)\n";
+    std::cout << "[  UPDATED ] " << kGoldenFile << ", "
+              << kDaemonGoldenFile << " (" << serial.size()
+              << " entries)\n";
     return;
   }
 
