@@ -1,13 +1,18 @@
 // Google-benchmark microbenchmarks for the building blocks: cache
 // touches, directory transitions, counter updates, machine set-up, the
-// memory-system access path, page migration, UPMlib scan/migrate passes
+// memory-system access path, the kernel miss path with the migration
+// daemon, page migration, UPMlib scan/migrate passes
 // and whole simulated iterations. These measure *host* performance of the
 // simulator (how fast the reproduction runs), not simulated time.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "repro/memsys/memory_system.hpp"
 #include "repro/nas/workload.hpp"
 #include "repro/omp/machine.hpp"
+#include "repro/os/daemon.hpp"
+#include "repro/os/kernel.hpp"
 #include "repro/sim/program.hpp"
 #include "repro/topology/topology.hpp"
 #include "repro/upmlib/upmlib.hpp"
@@ -95,6 +100,38 @@ void BM_PageMigration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PageMigration);
+
+void BM_KernelMiss(benchmark::State& state) {
+  // The OS miss path of an IRIXmig cell: translation (resolve), then the
+  // counter increment and the migration daemon's comparator check
+  // (on_miss), for 16 processors over a 4096-page working set. Every
+  // page is faulted in first, so the loop times mapped-page misses.
+  const memsys::MachineConfig config;
+  const topo::FatHypercube topology(config.num_nodes);
+  os::Kernel kernel(config, topology);
+  kernel.set_daemon(
+      std::make_unique<os::KernelMigrationDaemon>(os::DaemonConfig{}));
+  constexpr std::uint64_t kPages = 4096;
+  const std::uint64_t procs = config.num_procs();
+  for (std::uint64_t p = 0; p < kPages; ++p) {
+    kernel.resolve(ProcId(static_cast<std::uint32_t>(p % procs)), VPage(p),
+                   true);
+  }
+  std::uint64_t i = 0;
+  Ns now = 0;
+  for (auto _ : state) {
+    // The processor walk shifts by one every pass over the pages, so
+    // every processor meets every page.
+    const ProcId proc(static_cast<std::uint32_t>((i + i / kPages) % procs));
+    const VPage page(i % kPages);
+    const memsys::HomeInfo home = kernel.resolve(proc, page, false);
+    benchmark::DoNotOptimize(kernel.on_miss(proc, page, home, 4, now));
+    now += 100;
+    ++i;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_KernelMiss);
 
 void BM_UpmlibScanPass(benchmark::State& state) {
   // A full migrate_memory() scan over `range` hot pages where nothing

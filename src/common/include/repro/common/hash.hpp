@@ -13,6 +13,9 @@
 // positions.
 #pragma once
 
+#include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 
 namespace repro {
@@ -23,12 +26,18 @@ class StateHash {
   explicit StateHash(std::uint64_t seed = 0xcbf29ce484222325ull)
       : hash_(seed) {}
 
-  /// Mixes one 64-bit value, byte by byte (FNV-1a), order-dependent.
+  /// Mixes one 64-bit value, byte by byte from the low end (FNV-1a),
+  /// order-dependent. A zero byte's round is a bare multiply by the
+  /// prime, so the run of zero high bytes folds into one multiply by
+  /// the matching power of it: the same value mod 2^64, with one
+  /// multiply per significant byte plus one instead of eight.
   void mix(std::uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
+    const auto bytes = static_cast<unsigned>(71 - std::countl_zero(value)) / 8;
+    for (unsigned i = 0; i < bytes; ++i) {
       hash_ ^= (value >> (8 * i)) & 0xffu;
-      hash_ *= 0x00000100000001b3ull;
+      hash_ *= kPrime;
     }
+    hash_ *= kPrimePowers[8 - bytes];
   }
 
   /// Mixes a double through its bit pattern (digests must be exact, so
@@ -43,6 +52,17 @@ class StateHash {
   [[nodiscard]] std::uint64_t value() const { return hash_; }
 
  private:
+  static constexpr std::uint64_t kPrime = 0x00000100000001b3ull;
+  /// kPrimePowers[k] = kPrime^k mod 2^64, k = 0..8.
+  static constexpr std::array<std::uint64_t, 9> kPrimePowers = [] {
+    std::array<std::uint64_t, 9> powers{};
+    powers[0] = 1;
+    for (std::size_t k = 1; k < powers.size(); ++k) {
+      powers[k] = powers[k - 1] * kPrime;
+    }
+    return powers;
+  }();
+
   std::uint64_t hash_;
 };
 

@@ -1,5 +1,7 @@
 #include "repro/os/daemon.hpp"
 
+#include <algorithm>
+
 #include "repro/common/assert.hpp"
 #include "repro/os/kernel.hpp"
 
@@ -11,27 +13,35 @@ KernelMigrationDaemon::KernelMigrationDaemon(DaemonConfig config)
   REPRO_REQUIRE(config.window_ns >= 1);
 }
 
-Ns KernelMigrationDaemon::on_miss(Kernel& kernel, ProcId accessor,
-                                  VPage page, NodeId home, Ns now) {
-  PageState& st = pages_[page];
+Ns KernelMigrationDaemon::on_miss(Kernel& kernel, NodeId accessor_node,
+                                  VPage page, NodeId home, FrameId frame,
+                                  Ns now) {
+  const auto index = static_cast<std::size_t>(page.value());
+  if (index >= pages_.size()) {
+    pages_.resize(std::max(index + 1, pages_.size() * 2));
+  }
+  PageState& st = pages_[index];
+  if (!st.seen) {
+    st.seen = true;
+    ++seen_pages_;
+  }
 
   // Counter aging: the kernel evaluates reference counters over fixed
   // windows; a page first touched after its window expired gets a fresh
   // window (counters reset). This is what makes the daemon blind to
   // pages with modest per-window remote traffic.
   if (!st.window_open || now - st.window_start > config_.window_ns) {
-    kernel.reset_counters(page);
+    kernel.counters().reset(frame);
     st.window_start = now;
     st.window_open = true;
     ++stats_.window_resets;
     return 0;
   }
 
-  const NodeId accessor_node = kernel.node_of(accessor);
   if (accessor_node == home) {
     return 0;
   }
-  const auto counts = kernel.read_counters(page);
+  const auto counts = kernel.counters().read(frame);
   const std::uint32_t remote = counts[accessor_node.value()];
   const std::uint32_t local = counts[home.value()];
   if (remote <= local || remote - local <= config_.threshold) {
@@ -123,9 +133,15 @@ std::uint64_t KernelMigrationDaemon::digest(Ns now) const {
     const Ns age = now - t;
     return static_cast<std::uint64_t>(age > limit ? limit + 1 : age);
   };
-  std::uint64_t combined = pages_.size();
-  for (const auto& [page, st] : pages_) {
-    StateHash entry_hash(avalanche64(page.value()));
+  // An order-independent sum over the seen pages, so the digest does
+  // not depend on how the state is stored.
+  std::uint64_t combined = seen_pages_;
+  for (std::size_t page = 0; page < pages_.size(); ++page) {
+    const PageState& st = pages_[page];
+    if (!st.seen) {
+      continue;
+    }
+    StateHash entry_hash(avalanche64(page));
     entry_hash.mix(st.window_open ? rel(st.window_start, config_.window_ns)
                                   : ~std::uint64_t{0});
     entry_hash.mix(st.window_open ? 1 : 0);
@@ -148,9 +164,11 @@ std::uint64_t KernelMigrationDaemon::digest(Ns now) const {
 }
 
 void KernelMigrationDaemon::advance_replayed(Ns dt) {
-  for (auto& [page, st] : pages_) {
-    st.window_start += dt;
-    st.last_migration += dt;
+  for (PageState& st : pages_) {
+    if (st.seen) {
+      st.window_start += dt;
+      st.last_migration += dt;
+    }
   }
   last_any_migration_ += dt;
 }

@@ -19,7 +19,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "repro/common/hash.hpp"
 #include "repro/common/strong_id.hpp"
@@ -63,11 +63,13 @@ class KernelMigrationDaemon {
  public:
   explicit KernelMigrationDaemon(DaemonConfig config);
 
-  /// Called by the kernel on every miss batch, after the counters were
-  /// incremented. Returns the interrupt-handler cost to charge to the
-  /// faulting processor (0 when nothing fires).
-  Ns on_miss(Kernel& kernel, ProcId accessor, VPage page, NodeId home,
-             Ns now);
+  /// Called by the kernel on every miss batch, after the counters of
+  /// `frame` (the page's primary frame, on node `home`) were
+  /// incremented. Reads and resets that frame's counters directly.
+  /// Returns the interrupt-handler cost to charge to the faulting
+  /// processor (0 when nothing fires).
+  Ns on_miss(Kernel& kernel, NodeId accessor_node, VPage page, NodeId home,
+             FrameId frame, Ns now);
 
   [[nodiscard]] const DaemonStats& stats() const { return stats_; }
   [[nodiscard]] const DaemonConfig& config() const { return config_; }
@@ -105,15 +107,20 @@ class KernelMigrationDaemon {
  private:
   struct PageState {
     Ns window_start = 0;
-    bool window_open = false;
     Ns last_migration = 0;
     std::uint32_t migrations = 0;
+    bool window_open = false;
     bool frozen = false;
+    /// The page has missed at least once (only seen pages are state).
+    bool seen = false;
   };
 
   DaemonConfig config_;
   DaemonStats stats_;
-  std::unordered_map<VPage, PageState> pages_;
+  /// Indexed by page id: virtual pages are dense from 0 (see
+  /// vm::AddressSpace), so this grows like the dense page table.
+  std::vector<PageState> pages_;
+  std::size_t seen_pages_ = 0;
   Ns last_any_migration_ = 0;
   bool any_migration_yet_ = false;
   trace::TraceSink* trace_ = nullptr;

@@ -13,6 +13,7 @@
 #include <span>
 #include <string>
 
+#include "repro/common/assert.hpp"
 #include "repro/common/strong_id.hpp"
 #include "repro/common/units.hpp"
 #include "repro/fault/injector.hpp"
@@ -132,14 +133,25 @@ class Kernel final : public memsys::MemoryBackend {
   // --- services used by MMCI / tools ---------------------------------------
   [[nodiscard]] NodeId home_of(VPage page) const;
   [[nodiscard]] bool is_mapped(VPage page) const;
+  /// The hardware counters of a page's current frame, found through the
+  /// page table: the MMCI / UPMlib view. The kernel's own daemon is
+  /// handed the frame by on_miss and reads the counters by frame.
   [[nodiscard]] std::span<const std::uint32_t> read_counters(VPage page) const;
+  /// Zeroes a page's current frame's counters (MMCI / UPMlib service).
   void reset_counters(VPage page);
-  [[nodiscard]] NodeId node_of(ProcId proc) const;
+  [[nodiscard]] NodeId node_of(ProcId proc) const {
+    REPRO_REQUIRE(proc.value() < config_.num_procs());
+    return NodeId(proc.value() /
+                  static_cast<std::uint32_t>(config_.procs_per_node));
+  }
 
   [[nodiscard]] const KernelStats& stats() const { return stats_; }
   [[nodiscard]] const memsys::MachineConfig& config() const { return config_; }
   [[nodiscard]] const vm::PageTable& page_table() const { return table_; }
   [[nodiscard]] const vm::RefCounters& counters() const { return counters_; }
+  /// The daemon's comparator interrupt handler ages (resets) the
+  /// faulting frame's counters in place.
+  [[nodiscard]] vm::RefCounters& counters() { return counters_; }
   [[nodiscard]] const vm::PhysicalMemory& physical_memory() const {
     return phys_;
   }

@@ -34,38 +34,35 @@ void Kernel::set_daemon(std::unique_ptr<KernelMigrationDaemon> daemon) {
 
 vm::PlacementPolicy& Kernel::policy() { return *policy_; }
 
-NodeId Kernel::node_of(ProcId proc) const {
-  REPRO_REQUIRE(proc.value() < config_.num_procs());
-  return NodeId(proc.value() /
-                static_cast<std::uint32_t>(config_.procs_per_node));
-}
-
 memsys::HomeInfo Kernel::resolve(ProcId accessor, VPage page, bool write) {
-  if (const auto frame = table_.lookup(page)) {
-    table_.note_mapper(page, accessor);
+  if (vm::PageTable::Entry* entry = table_.find(page)) {
+    entry->add_mapper(accessor);
+    const FrameId frame = entry->frame;
     if (write) {
-      table_.mark_dirty(page);
-      if (!table_.entry(page).replicas.empty()) {
+      entry->dirty = true;
+      if (!entry->replicas.empty()) {
         // Writing a replicated page collapses every replica (the
         // page-grain coherence action); the cost lands on the writer.
         pending_penalty_ += collapse_replicas(page);
       }
-      return {phys_.node_of(*frame), *frame};
+      return {phys_.node_of(frame), frame};
     }
     // Reads are served from the closest copy; the reference counters
     // stay aggregated on the primary frame.
-    const vm::PageTable::Entry& entry = table_.entry(page);
-    NodeId best = phys_.node_of(*frame);
-    unsigned best_hops = topology_->hops(node_of(accessor), best);
-    for (const FrameId replica : entry.replicas) {
-      const NodeId node = phys_.node_of(replica);
-      const unsigned h = topology_->hops(node_of(accessor), node);
-      if (h < best_hops) {
-        best_hops = h;
-        best = node;
+    NodeId best = phys_.node_of(frame);
+    if (!entry->replicas.empty()) {
+      const NodeId from = node_of(accessor);
+      unsigned best_hops = topology_->hops(from, best);
+      for (const FrameId replica : entry->replicas) {
+        const NodeId node = phys_.node_of(replica);
+        const unsigned h = topology_->hops(from, node);
+        if (h < best_hops) {
+          best_hops = h;
+          best = node;
+        }
       }
     }
-    return {best, *frame};
+    return {best, frame};
   }
   // Page fault: the active placement policy chooses the home node.
   ++stats_.page_faults;
@@ -82,11 +79,13 @@ memsys::HomeInfo Kernel::resolve(ProcId accessor, VPage page, bool write) {
 
 Ns Kernel::on_miss(ProcId accessor, VPage page, const memsys::HomeInfo& home,
                    std::uint32_t lines, Ns now) {
-  counters_.increment(home.frame, node_of(accessor), lines);
+  const NodeId accessor_node = node_of(accessor);
+  counters_.increment(home.frame, accessor_node, lines);
   Ns penalty = pending_penalty_;
   pending_penalty_ = 0;
   if (daemon_ != nullptr) {
-    penalty += daemon_->on_miss(*this, accessor, page, home.node, now);
+    penalty += daemon_->on_miss(*this, accessor_node, page, home.node,
+                                home.frame, now);
   }
   return penalty;
 }
@@ -170,11 +169,12 @@ MigrationResult Kernel::migrate_page(VPage page, NodeId target) {
 }
 
 Ns Kernel::on_write_hit(ProcId /*accessor*/, VPage page) {
-  if (!table_.is_mapped(page)) {
+  vm::PageTable::Entry* entry = table_.find(page);
+  if (entry == nullptr) {
     return 0;
   }
-  table_.mark_dirty(page);
-  if (table_.entry(page).replicas.empty()) {
+  entry->dirty = true;
+  if (entry->replicas.empty()) {
     return 0;
   }
   return collapse_replicas(page);

@@ -9,11 +9,9 @@
 namespace repro::vm {
 
 PageTable::Entry& PageTable::mutable_entry(VPage page) {
-  REPRO_REQUIRE_MSG(is_mapped(page), "page not mapped");
-  if (sparse_) {
-    return slots_[*index_.find(page.value())];
-  }
-  return table_[page.value()];
+  Entry* e = find(page);
+  REPRO_REQUIRE_MSG(e != nullptr, "page not mapped");
+  return *e;
 }
 
 void PageTable::map(VPage page, FrameId frame) {
@@ -71,24 +69,13 @@ FrameId PageTable::remap(VPage page, FrameId frame) {
 }
 
 const PageTable::Entry& PageTable::entry(VPage page) const {
-  REPRO_REQUIRE_MSG(is_mapped(page), "page not mapped");
-  if (sparse_) {
-    return slots_[*index_.find(page.value())];
-  }
-  return table_[page.value()];
+  const Entry* e = find(page);
+  REPRO_REQUIRE_MSG(e != nullptr, "page not mapped");
+  return *e;
 }
 
 void PageTable::note_mapper(VPage page, ProcId proc) {
-  Entry& e = mutable_entry(page);
-  if (proc.value() < 64) {
-    e.mapper_mask |= 1ULL << proc.value();
-    return;
-  }
-  const std::size_t word = proc.value() / 64 - 1;
-  if (word >= e.mapper_high.size()) {
-    e.mapper_high.resize(word + 1, 0);
-  }
-  e.mapper_high[word] |= 1ULL << (proc.value() % 64);
+  mutable_entry(page).add_mapper(proc);
 }
 
 void PageTable::mark_dirty(VPage page) { mutable_entry(page).dirty = true; }

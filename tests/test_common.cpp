@@ -6,9 +6,11 @@
 #include <limits>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "repro/common/assert.hpp"
 #include "repro/common/env.hpp"
+#include "repro/common/hash.hpp"
 #include "repro/common/json.hpp"
 #include "repro/common/rng.hpp"
 #include "repro/common/stats.hpp"
@@ -72,6 +74,44 @@ TEST(Units, Conversions) {
   EXPECT_DOUBLE_EQ(ns_to_seconds(kNsPerSec), 1.0);
   EXPECT_DOUBLE_EQ(ns_to_ms(kNsPerMs), 1.0);
   EXPECT_EQ(kMiB, 1024u * 1024u);
+}
+
+/// The byte-serial FNV-1a round StateHash::mix must equal.
+std::uint64_t byte_serial_mix(std::uint64_t hash, std::uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    hash ^= (value >> (8 * i)) & 0xffu;
+    hash *= 0x00000100000001b3ull;
+  }
+  return hash;
+}
+
+TEST(StateHash, MatchesByteSerialReference) {
+  std::vector<std::uint64_t> values = {0, 1, 0x0101010101010101ull,
+                                       0x8182838485868788ull,
+                                       0xff00ff00ff00ff01ull};
+  for (int k = 1; k <= 8; ++k) {
+    // 2^(8k) - 1 (k bytes of ones) and, below 2^64, 2^(8k).
+    values.push_back(k == 8 ? ~std::uint64_t{0} : (1ull << (8 * k)) - 1);
+    if (k < 8) {
+      values.push_back(1ull << (8 * k));
+    }
+  }
+  Rng rng(2024);
+  for (int i = 0; i < 200; ++i) {
+    // Random values with every count of significant bytes.
+    const int shift = 8 * (i % 8);
+    values.push_back(rng.next_u64() >> shift);
+  }
+  std::uint64_t reference = 0xcbf29ce484222325ull;
+  StateHash chained;
+  for (const std::uint64_t v : values) {
+    StateHash fresh;
+    fresh.mix(v);
+    EXPECT_EQ(fresh.value(), byte_serial_mix(0xcbf29ce484222325ull, v)) << v;
+    reference = byte_serial_mix(reference, v);
+    chained.mix(v);
+    EXPECT_EQ(chained.value(), reference) << v;
+  }
 }
 
 TEST(Rng, Deterministic) {

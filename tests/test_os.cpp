@@ -3,6 +3,10 @@
 // migration daemon's windowed policy, and the user-level MMCI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "repro/common/assert.hpp"
 #include "repro/memsys/config.hpp"
 #include "repro/os/daemon.hpp"
@@ -257,6 +261,64 @@ TEST(Daemon, GlobalIntervalThrottles) {
   touch(kernel, ProcId(1), VPage(1), 20, 5);
   EXPECT_EQ(kernel.daemon()->stats().migrations, 1u);
   EXPECT_GT(kernel.daemon()->stats().suppressed_global, 0u);
+}
+
+TEST(Daemon, DigestIndependentOfMissOrderAndShiftsWithReplay) {
+  // Far-apart page ids (0, 3, 3000, 4097) missed at the same simulated
+  // times in two different orders: the daemon state, and so its
+  // digest, must not depend on the order or on how the per-page state
+  // is stored (3000 before 4097 grows dense storage to another length
+  // than 4097 first).
+  const auto config = small_config();
+  const topo::FatHypercube topology(4);
+  struct Miss {
+    std::uint32_t proc;
+    std::uint64_t page;
+    std::uint32_t lines;
+    Ns time;
+  };
+  // Time-ordered, ascending page id within each time; pages 0 and
+  // 4097 both cross the threshold and migrate at t=20.
+  const std::vector<Miss> misses = {
+      {0, 0, 1, 0},   {2, 3, 1, 0},    {3, 3000, 2, 0}, {1, 4097, 1, 0},
+      {1, 0, 5, 10},  {3, 3, 4, 10},   {0, 4097, 3, 10},
+      {1, 0, 20, 20}, {0, 4097, 30, 20}};
+  const auto run = [&](bool descending_pages, bool skip_4097) {
+    auto kernel = std::make_unique<Kernel>(config, topology);
+    kernel->set_daemon(
+        std::make_unique<KernelMigrationDaemon>(fast_daemon()));
+    std::vector<Miss> order = misses;
+    if (descending_pages) {
+      std::stable_sort(order.begin(), order.end(),
+                       [](const Miss& a, const Miss& b) {
+                         return a.time != b.time ? a.time < b.time
+                                                 : a.page > b.page;
+                       });
+    }
+    for (const Miss& m : order) {
+      if (!(skip_4097 && m.page == 4097)) {
+        touch(*kernel, ProcId(m.proc), VPage(m.page), m.lines, m.time);
+      }
+    }
+    return kernel;
+  };
+  const auto ascending = run(false, false);
+  const auto descending = run(true, false);
+  const auto without_far_page = run(false, true);
+  EXPECT_EQ(ascending->daemon()->stats().migrations, 2u);
+  EXPECT_EQ(descending->daemon()->stats().migrations, 2u);
+
+  const Ns now = 30;
+  const std::uint64_t digest = ascending->daemon()->digest(now);
+  EXPECT_EQ(descending->daemon()->digest(now), digest);
+  EXPECT_NE(without_far_page->daemon()->digest(now), digest);
+
+  // Fast-forward translation: shifting every stored time by dt makes
+  // the state at now + dt look exactly like the state at now.
+  const Ns dt = 5'000'000;
+  EXPECT_NE(ascending->daemon()->digest(now + dt), digest);
+  ascending->daemon()->advance_replayed(dt);
+  EXPECT_EQ(ascending->daemon()->digest(now + dt), digest);
 }
 
 // --- MMCI -------------------------------------------------------------------
