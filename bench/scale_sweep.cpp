@@ -14,8 +14,9 @@
 // BENCH_scale_sweep.json carry each cell's integer `sim_total_ns`,
 // which tools/perf_compare.py compares exactly against the checked-in
 // baseline. Peak host RSS is printed at the end: past 64 processors the
-// kAuto table backend switches to the sparse structures, which is what
-// keeps the 512-node cells inside a laptop's memory.
+// kAuto table backend gives each processor's page cache and TLB a
+// sparse page index, which keeps 512 of them inside a laptop's memory
+// (the page table and directory are dense arrays at every size).
 //
 // Usage: scale_sweep [--fast] [--benchmark=CG|MG] [--iterations=N]
 //                    [--max-nodes=N] [--scale=X] [--jobs=N]
@@ -232,8 +233,8 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   std::cout << "\npeak RSS: " << fmt_double(peak_rss_mib(), 1)
-            << " MiB (sparse backends engage automatically past 64 "
-               "processors)\n";
+            << " MiB (per-processor page-cache indexes go sparse past "
+               "64 processors)\n";
 
   if (!json_dir.empty()) {
     std::vector<BenchRow> rows;

@@ -1,10 +1,10 @@
-// Open-addressed hash map for the sparse page-structure backends.
+// Open-addressed hash map for the sparse page-cache index and the
+// coherence model's line directory.
 //
-// The dense PageTable / Directory / PageCache indices are O(pages) (and
-// O(pages x nodes) for the directory's sharer words) regardless of how
-// many pages are live -- fine at the paper's 16 nodes, ruinous at 512.
-// The sparse backends keep only live keys, at the cost of one hash
-// probe per lookup. Requirements that shaped this map:
+// A dense PageCache index is O(pages) per processor regardless of how
+// many pages are resident -- fine at the paper's 16 nodes, ruinous for
+// 512 processors. The sparse index keeps only live keys, at the cost of
+// one hash probe per lookup. Requirements that shaped this map:
 //
 //  * determinism: iteration order is never exposed (callers that digest
 //    must collect keys and sort), and the map itself allocates nothing

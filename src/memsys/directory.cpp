@@ -7,10 +7,8 @@
 
 namespace repro::memsys {
 
-Directory::Directory(std::size_t num_procs, bool sparse)
-    : num_procs_(num_procs),
-      words_per_entry_((num_procs + 63) / 64),
-      sparse_(sparse) {
+Directory::Directory(std::size_t num_procs)
+    : num_procs_(num_procs), words_per_entry_((num_procs + 63) / 64) {
   REPRO_REQUIRE(num_procs >= 1 && num_procs <= 65536);
   if (words_per_entry_ > 1) {
     scratch_high_.resize(words_per_entry_ - 1);
@@ -25,8 +23,8 @@ unsigned Directory::AccessOutcome::invalidations() const {
   return count;
 }
 
-bool Directory::live(std::uint32_t slot) const {
-  const std::uint64_t* w = words(slot);
+bool Directory::live(std::size_t page) const {
+  const std::uint64_t* w = words(page);
   for (std::size_t i = 0; i < words_per_entry_; ++i) {
     if (w[i] != 0) {
       return true;
@@ -35,59 +33,22 @@ bool Directory::live(std::uint32_t slot) const {
   return false;
 }
 
-std::uint32_t Directory::find_slot(VPage page) const {
-  if (sparse_) {
-    const std::uint32_t* slot = index_.find(page.value());
-    return slot == nullptr ? kNoSlot : *slot;
+std::size_t Directory::ensure(VPage page) {
+  if (page.value() >= meta_.size()) {
+    meta_.resize(page.value() + 1);
+    words_.resize(meta_.size() * words_per_entry_, 0);
   }
-  return page.value() < meta_.size()
-             ? static_cast<std::uint32_t>(page.value())
-             : kNoSlot;
-}
-
-std::uint32_t Directory::ensure_slot(VPage page) {
-  if (!sparse_) {
-    if (page.value() >= meta_.size()) {
-      const std::size_t size =
-          std::max<std::size_t>(page.value() + 1, meta_.size() * 2);
-      meta_.resize(size);
-      words_.resize(size * words_per_entry_, 0);
-    }
-    return static_cast<std::uint32_t>(page.value());
-  }
-  if (const std::uint32_t* slot = index_.find(page.value())) {
-    return *slot;
-  }
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(meta_.size());
-    meta_.emplace_back();
-    words_.resize(words_.size() + words_per_entry_, 0);
-  }
-  index_[page.value()] = slot;
-  return slot;
-}
-
-void Directory::release_slot(VPage page, std::uint32_t slot) {
-  // Dense slots stay in place (the array is the index); sparse slots
-  // are recycled so the pool tracks the live-entry high-water mark.
-  if (sparse_) {
-    index_.erase(page.value());
-    free_slots_.push_back(slot);
-  }
+  return page.value();
 }
 
 Directory::AccessOutcome Directory::on_read(ProcId proc, VPage page) {
   REPRO_REQUIRE(proc.value() < num_procs_);
-  const std::uint32_t slot = ensure_slot(page);
-  if (!live(slot)) {
+  const std::size_t p = ensure(page);
+  if (!live(p)) {
     ++tracked_;
   }
-  words(slot)[proc.value() / 64] |= 1ULL << (proc.value() % 64);
-  Meta& m = meta_[slot];
+  words(p)[proc.value() / 64] |= 1ULL << (proc.value() % 64);
+  Meta& m = meta_[p];
   if (m.has_owner && m.owner != proc.value()) {
     // A reader joins: the writer loses exclusivity but keeps its copy.
     m.has_owner = false;
@@ -97,11 +58,11 @@ Directory::AccessOutcome Directory::on_read(ProcId proc, VPage page) {
 
 Directory::AccessOutcome Directory::on_write(ProcId proc, VPage page) {
   REPRO_REQUIRE(proc.value() < num_procs_);
-  const std::uint32_t slot = ensure_slot(page);
-  if (!live(slot)) {
+  const std::size_t p = ensure(page);
+  if (!live(p)) {
     ++tracked_;
   }
-  std::uint64_t* w = words(slot);
+  std::uint64_t* w = words(p);
   const std::size_t self_word = proc.value() / 64;
   const std::uint64_t self_bit = 1ULL << (proc.value() % 64);
   AccessOutcome out;
@@ -114,82 +75,64 @@ Directory::AccessOutcome Directory::on_write(ProcId proc, VPage page) {
   }
   std::fill(w, w + words_per_entry_, 0);
   w[self_word] = self_bit;
-  meta_[slot].owner = proc.value();
-  meta_[slot].has_owner = true;
+  meta_[p].owner = proc.value();
+  meta_[p].has_owner = true;
   return out;
 }
 
 void Directory::on_evict(ProcId proc, VPage page) {
   REPRO_REQUIRE(proc.value() < num_procs_);
-  const std::uint32_t slot = find_slot(page);
-  if (slot == kNoSlot || !live(slot)) {
+  const std::size_t p = page.value();
+  if (p >= meta_.size() || !live(p)) {
     return;
   }
-  words(slot)[proc.value() / 64] &= ~(1ULL << (proc.value() % 64));
-  Meta& m = meta_[slot];
+  words(p)[proc.value() / 64] &= ~(1ULL << (proc.value() % 64));
+  Meta& m = meta_[p];
   if (m.has_owner && m.owner == proc.value()) {
     m.has_owner = false;
   }
-  if (!live(slot)) {
-    meta_[slot] = Meta{};
+  if (!live(p)) {
+    meta_[p] = Meta{};
     --tracked_;
-    release_slot(page, slot);
   }
 }
 
 std::uint64_t Directory::digest() const {
-  // Slots whose sharer set emptied are reset, so live entries are
-  // exactly the behaviourally relevant ones; page order is
-  // deterministic. High words are mixed only on > 64-proc machines,
-  // keeping 16-node digests byte-identical to the single-word layout.
+  // Pages whose sharer set emptied are reset, so live entries are
+  // exactly the behaviourally relevant ones. High words are mixed only
+  // on > 64-proc machines, keeping 16-node digests byte-identical to
+  // the single-word layout.
   StateHash hash;
   hash.mix(tracked_);
-  const auto mix_entry = [&](std::uint64_t page, std::uint32_t slot) {
-    const std::uint64_t* w = words(slot);
-    hash.mix(page);
-    hash.mix(w[0]);
-    for (std::size_t i = 1; i < words_per_entry_; ++i) {
+  for (std::size_t p = 0; p < meta_.size(); ++p) {
+    if (!live(p)) {
+      continue;
+    }
+    const std::uint64_t* w = words(p);
+    hash.mix(p);
+    for (std::size_t i = 0; i < words_per_entry_; ++i) {
       hash.mix(w[i]);
     }
-    const Meta& m = meta_[slot];
+    const Meta& m = meta_[p];
     hash.mix(m.has_owner ? m.owner + 1ull : 0ull);
-  };
-  if (sparse_) {
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> live_pages;
-    live_pages.reserve(tracked_);
-    index_.for_each([&](std::uint64_t page, std::uint32_t slot) {
-      live_pages.emplace_back(page, slot);
-    });
-    std::sort(live_pages.begin(), live_pages.end());
-    for (const auto& [page, slot] : live_pages) {
-      mix_entry(page, slot);
-    }
-  } else {
-    for (std::size_t p = 0; p < meta_.size(); ++p) {
-      const auto slot = static_cast<std::uint32_t>(p);
-      if (live(slot)) {
-        mix_entry(p, slot);
-      }
-    }
   }
   return hash.value();
 }
 
 std::uint64_t Directory::sharers(VPage page) const {
-  const std::uint32_t slot = find_slot(page);
-  return slot == kNoSlot ? 0 : words(slot)[0];
+  return page.value() < meta_.size() ? words(page.value())[0] : 0;
 }
 
 bool Directory::is_exclusive(ProcId proc, VPage page) const {
-  const std::uint32_t slot = find_slot(page);
-  if (slot == kNoSlot) {
+  const std::size_t p = page.value();
+  if (p >= meta_.size()) {
     return false;
   }
-  const Meta& m = meta_[slot];
+  const Meta& m = meta_[p];
   if (!m.has_owner || m.owner != proc.value()) {
     return false;
   }
-  const std::uint64_t* w = words(slot);
+  const std::uint64_t* w = words(p);
   for (std::size_t i = 0; i < words_per_entry_; ++i) {
     const std::uint64_t expected =
         i == proc.value() / 64 ? 1ULL << (proc.value() % 64) : 0;

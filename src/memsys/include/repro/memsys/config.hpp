@@ -16,13 +16,15 @@
 
 namespace repro::memsys {
 
-/// Backing store for the page-grain bookkeeping structures (page table,
-/// directory, page caches). Dense arrays are O(pages) regardless of how
-/// many pages are live; the sparse open-addressed backends track only
-/// live entries. kAuto picks dense at the paper's scale (<= 64 procs)
-/// and sparse beyond, where the dense footprint would dominate the
-/// simulation. (The reference counters have one backend, sized by the
-/// frames a run touches.)
+/// Backing store for the page -> slot index of the per-processor page
+/// caches and TLBs (memsys::PageCache), the one page-grain structure
+/// that exists once per processor. A dense index is O(pages) per
+/// processor; the sparse open-addressed index tracks only resident
+/// pages. kAuto picks dense at the paper's scale (<= 64 procs) and
+/// sparse beyond, where 512 dense indexes would double the simulator's
+/// footprint. The page table and the directory exist once per machine
+/// and are always dense arrays; the reference counters are sized by the
+/// frames a run touches.
 enum class TableBackend : std::uint8_t { kAuto, kDense, kSparse };
 
 struct MachineConfig {
@@ -105,8 +107,9 @@ struct MachineConfig {
   [[nodiscard]] std::uint32_t counter_max() const {
     return (1u << counter_bits) - 1u;
   }
-  /// Whether the page structures should use their sparse backends.
-  [[nodiscard]] bool sparse_tables() const {
+  /// Whether the per-processor page caches and TLBs use the sparse
+  /// page index.
+  [[nodiscard]] bool sparse_page_caches() const {
     return table_backend == TableBackend::kSparse ||
            (table_backend == TableBackend::kAuto && num_procs() > 64);
   }

@@ -9,19 +9,14 @@
 //
 // Sharer sets are multi-word bitmaps (ceil(num_procs / 64) words per
 // entry), so machines beyond 64 processors are representable. Entries
-// live either in a dense array over the virtual page space (indexed
-// load per access; the default at the paper's scale) or in a sparse
-// open-addressed index keyed by page (one hash probe per access; picked
-// for the 128/512-node scale sweeps, where the dense array's
-// O(pages x nodes) footprint is the problem being avoided). Digests are
-// backend-independent: both enumerate live entries in page order.
+// live in a dense array over the compact virtual page space: the slot
+// of a page is its page id, one indexed load per access.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "repro/common/flat_map.hpp"
 #include "repro/common/hash.hpp"
 #include "repro/common/strong_id.hpp"
 
@@ -29,7 +24,7 @@ namespace repro::memsys {
 
 class Directory {
  public:
-  explicit Directory(std::size_t num_procs, bool sparse = false);
+  explicit Directory(std::size_t num_procs);
 
   struct AccessOutcome {
     /// Processors 0..63 whose cached copy must be invalidated (excludes
@@ -63,45 +58,36 @@ class Directory {
   [[nodiscard]] std::size_t tracked_pages() const { return tracked_; }
 
   /// Digest of every live entry (page, sharer set, exclusive owner),
-  /// in page order; identical across backends.
+  /// in page order.
   [[nodiscard]] std::uint64_t digest() const;
 
  private:
-  /// Sharer words live in `words_` at slot * words_per_entry_; a slot
-  /// whose words are all zero is dead (has_owner implies the owner is a
-  /// sharer, so an empty set also means no owner).
+  /// Sharer words of page p live in `words_` at p * words_per_entry_;
+  /// a page whose words are all zero is dead (has_owner implies the
+  /// owner is a sharer, so an empty set also means no owner).
   struct Meta {
     /// Valid only when `has_owner`; identifies the exclusive writer.
     std::uint32_t owner = 0;
     bool has_owner = false;
   };
 
-  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
-
-  [[nodiscard]] std::uint64_t* words(std::uint32_t slot) {
-    return &words_[static_cast<std::size_t>(slot) * words_per_entry_];
+  [[nodiscard]] std::uint64_t* words(std::size_t page) {
+    return &words_[page * words_per_entry_];
   }
-  [[nodiscard]] const std::uint64_t* words(std::uint32_t slot) const {
-    return &words_[static_cast<std::size_t>(slot) * words_per_entry_];
+  [[nodiscard]] const std::uint64_t* words(std::size_t page) const {
+    return &words_[page * words_per_entry_];
   }
-  [[nodiscard]] bool live(std::uint32_t slot) const;
+  [[nodiscard]] bool live(std::size_t page) const;
 
-  /// Slot of `page`, or kNoSlot when the page has no live entry.
-  [[nodiscard]] std::uint32_t find_slot(VPage page) const;
-  /// Slot of `page`, allocating an empty entry when absent.
-  std::uint32_t ensure_slot(VPage page);
-  /// Releases a slot whose sharer set emptied (sparse reclamation).
-  void release_slot(VPage page, std::uint32_t slot);
+  /// Index of `page`, growing the arrays to cover it.
+  std::size_t ensure(VPage page);
 
   std::size_t num_procs_;
   std::size_t words_per_entry_;
-  bool sparse_;
 
+  /// Indexed by page id.
   std::vector<Meta> meta_;
   std::vector<std::uint64_t> words_;
-  /// Sparse backend: page -> slot, plus recycled slots.
-  FlatMap<std::uint32_t> index_;
-  std::vector<std::uint32_t> free_slots_;
   /// Scratch backing AccessOutcome::invalidate_high (reused per write).
   std::vector<std::uint64_t> scratch_high_;
 

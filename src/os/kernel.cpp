@@ -13,7 +13,7 @@ Kernel::Kernel(const memsys::MachineConfig& config,
     : config_(config),
       topology_(&topology),
       phys_(config.num_nodes, config.frames_per_node, topology),
-      table_(config.sparse_tables()),
+      table_(config.num_procs()),
       counters_(config.total_frames(), config.num_nodes,
                 config.counter_bits),
       policy_(std::make_unique<vm::FirstTouchPlacement>(
@@ -36,11 +36,11 @@ vm::PlacementPolicy& Kernel::policy() { return *policy_; }
 
 memsys::HomeInfo Kernel::resolve(ProcId accessor, VPage page, bool write) {
   if (vm::PageTable::Entry* entry = table_.find(page)) {
-    entry->add_mapper(accessor);
+    table_.add_mapper(page, *entry, accessor);
     const FrameId frame = entry->frame;
     if (write) {
       entry->dirty = true;
-      if (!entry->replicas.empty()) {
+      if (entry->replicated) {
         // Writing a replicated page collapses every replica (the
         // page-grain coherence action); the cost lands on the writer.
         pending_penalty_ += collapse_replicas(page);
@@ -50,10 +50,10 @@ memsys::HomeInfo Kernel::resolve(ProcId accessor, VPage page, bool write) {
     // Reads are served from the closest copy; the reference counters
     // stay aggregated on the primary frame.
     NodeId best = phys_.node_of(frame);
-    if (!entry->replicas.empty()) {
+    if (entry->replicated) {
       const NodeId from = node_of(accessor);
       unsigned best_hops = topology_->hops(from, best);
-      for (const FrameId replica : entry->replicas) {
+      for (const FrameId replica : table_.replicas(page)) {
         const NodeId node = phys_.node_of(replica);
         const unsigned h = topology_->hops(from, node);
         if (h < best_hops) {
@@ -174,7 +174,7 @@ Ns Kernel::on_write_hit(ProcId /*accessor*/, VPage page) {
     return 0;
   }
   entry->dirty = true;
-  if (entry->replicas.empty()) {
+  if (!entry->replicated) {
     return 0;
   }
   return collapse_replicas(page);
@@ -188,7 +188,7 @@ ReplicationResult Kernel::replicate_page(VPage page, NodeId target) {
   if (home_of(page) == target) {
     return out;
   }
-  for (const FrameId replica : table_.entry(page).replicas) {
+  for (const FrameId replica : table_.replicas(page)) {
     if (phys_.node_of(replica) == target) {
       return out;
     }
@@ -243,7 +243,7 @@ Ns Kernel::collapse_replicas(VPage page) {
 }
 
 std::size_t Kernel::replica_count(VPage page) const {
-  return table_.entry(page).replicas.size();
+  return table_.replicas(page).size();
 }
 
 bool Kernel::is_dirty(VPage page) const { return table_.is_dirty(page); }

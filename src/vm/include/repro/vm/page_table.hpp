@@ -3,22 +3,22 @@
 // migration can charge the right shootdown cost) and how often the page
 // has migrated.
 //
-// Two interchangeable backends (chosen at construction, see
-// memsys::TableBackend): a dense array over the compact virtual page
-// space (the hot default at the paper's 16 nodes) and a sparse
-// open-addressed index that keeps only mapped pages, for the 128/512
-// node scale sweeps where a dense O(pages) array per structure would
-// dominate the simulator's footprint. Digests and iteration order are
-// backend-independent: both enumerate mapped pages in ascending page
-// order.
+// One dense array over the compact virtual page space (see
+// vm::AddressSpace), indexed by page id at every machine size: a
+// 24-byte entry per page, plus, on machines with more than 64
+// processors, a flat per-page array of the mapper words beyond word 0
+// (the layout memsys::Directory uses for its sharer words). Replica
+// lists live in a side table keyed by page; the entry's `replicated`
+// flag lets the translation path skip it for unreplicated pages.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
-#include "repro/common/flat_map.hpp"
+#include "repro/common/assert.hpp"
 #include "repro/common/hash.hpp"
 #include "repro/common/strong_id.hpp"
 
@@ -29,40 +29,22 @@ class PageTable {
   struct Entry {
     FrameId frame;
     /// Bitmask of processors 0..63 that have faulted the page into
-    /// their TLB since the last shootdown.
+    /// their TLB since the last shootdown (higher processors live in
+    /// the table's flat mapper-word array).
     std::uint64_t mapper_mask = 0;
-    /// Mapper words for processors >= 64 (word w covers processors
-    /// 64*(w+1)..64*(w+2)-1). Empty on machines with <= 64 processors,
-    /// which keeps their digests byte-identical to the single-word
-    /// representation.
-    std::vector<std::uint64_t> mapper_high;
     std::uint32_t migrations = 0;
-    /// Read-only replicas of the page on other nodes (frames holding
-    /// copies; the primary stays authoritative). Collapsed on write.
-    std::vector<FrameId> replicas;
     /// Written since the last clear_dirty() (drives the replication
     /// policy: only clean pages may replicate).
     bool dirty = false;
-    /// Dense-slot state: the dense table is an array over the virtual
-    /// page space, so unmapped pages occupy empty slots. Sparse slots
-    /// are mapped iff indexed.
+    /// Unmapped pages occupy empty slots of the dense array.
     bool mapped = false;
-
-    /// Records that `proc` established a TLB mapping for the page.
-    void add_mapper(ProcId proc) {
-      if (proc.value() < 64) {
-        mapper_mask |= 1ULL << proc.value();
-        return;
-      }
-      const std::size_t word = proc.value() / 64 - 1;
-      if (word >= mapper_high.size()) {
-        mapper_high.resize(word + 1, 0);
-      }
-      mapper_high[word] |= 1ULL << (proc.value() % 64);
-    }
+    /// The page has read-only replicas (replicas(page) is non-empty).
+    bool replicated = false;
   };
 
-  explicit PageTable(bool sparse = false) : sparse_(sparse) {}
+  /// `num_procs` sizes the per-page mapper words: one word per 64
+  /// processors, the first of which is Entry::mapper_mask.
+  explicit PageTable(std::size_t num_procs);
 
   /// Maps a page; the page must be unmapped.
   void map(VPage page, FrameId frame);
@@ -74,16 +56,11 @@ class PageTable {
   /// incrementing the migration count. Returns the old frame.
   FrameId remap(VPage page, FrameId frame);
 
-  /// The one lookup routine of each backend, and the translation hot
-  /// path: the entry of a mapped page, or nullptr. One bounds check and
-  /// one indexed load in dense mode (virtual pages are dense, see
-  /// vm::AddressSpace); one hash probe in sparse mode. Callers that
-  /// both read and update a mapping fetch it once here.
+  /// The one lookup routine and the translation hot path: the entry of
+  /// a mapped page, or nullptr. One bounds check and one indexed load
+  /// (virtual pages are dense). Callers that both read and update a
+  /// mapping fetch it once here.
   [[nodiscard]] const Entry* find(VPage page) const {
-    if (sparse_) {
-      const std::uint32_t* slot = index_.find(page.value());
-      return slot == nullptr ? nullptr : &slots_[*slot];
-    }
     if (page.value() >= table_.size() || !table_[page.value()].mapped) {
       return nullptr;
     }
@@ -107,7 +84,18 @@ class PageTable {
   /// Entry accessor; the page must be mapped.
   [[nodiscard]] const Entry& entry(VPage page) const;
 
-  /// Records that `proc` established a TLB mapping for the page.
+  /// Records that `proc` established a TLB mapping for `page`, whose
+  /// entry `e` the caller already fetched with find().
+  void add_mapper(VPage page, Entry& e, ProcId proc) {
+    if (proc.value() < 64) {
+      e.mapper_mask |= 1ULL << proc.value();
+      return;
+    }
+    REPRO_REQUIRE(proc.value() < num_procs_);
+    mapper_high_[page.value() * high_words_ + proc.value() / 64 - 1] |=
+        1ULL << (proc.value() % 64);
+  }
+  /// add_mapper() for a page the caller has not fetched.
   void note_mapper(VPage page, ProcId proc);
 
   /// Marks the page written / clears the mark.
@@ -119,19 +107,25 @@ class PageTable {
   void add_replica(VPage page, FrameId frame);
   /// Removes and returns all replica frames (write collapse).
   [[nodiscard]] std::vector<FrameId> take_replicas(VPage page);
-  [[nodiscard]] const std::vector<FrameId>& replicas(VPage page) const;
+  /// Replica frames of the page, in the order they were added (empty
+  /// for unmapped or unreplicated pages).
+  [[nodiscard]] std::span<const FrameId> replicas(VPage page) const {
+    if (page.value() >= replicas_.size()) {
+      return {};
+    }
+    return replicas_[page.value()];
+  }
 
   /// Number of processors with a live mapping.
   [[nodiscard]] unsigned mapper_count(VPage page) const;
 
   [[nodiscard]] std::size_t mapped_pages() const { return mapped_count_; }
-  [[nodiscard]] bool sparse() const { return sparse_; }
 
   /// Digest (in page order) of the placement-relevant state of every
   /// mapping: frame, mapper set, dirty bit and the replica list (in
   /// order -- resolve() scans replicas front to back, so replica order
   /// breaks hop-distance ties). The monotone `migrations` counter is a
-  /// statistic and is excluded. Backend-independent by construction.
+  /// statistic and is excluded.
   [[nodiscard]] std::uint64_t digest() const;
 
   /// Materialized snapshot of the mapped entries, in page order (for
@@ -139,21 +133,26 @@ class PageTable {
   [[nodiscard]] std::vector<std::pair<VPage, Entry>> entries() const;
 
  private:
-  bool sparse_;
+  std::size_t num_procs_;
+  /// Mapper words per page beyond Entry::mapper_mask (0 at <= 64 procs).
+  std::size_t high_words_;
 
-  // Dense backend: indexed by page id.
+  /// Indexed by page id.
   std::vector<Entry> table_;
-
-  // Sparse backend: page -> slot in a recycled entry pool.
-  FlatMap<std::uint32_t> index_;
-  std::vector<Entry> slots_;
-  std::vector<std::uint32_t> free_slots_;
+  /// Page p's mapper words for processors >= 64 live at
+  /// [p * high_words_, (p + 1) * high_words_); word w covers processors
+  /// 64*(w+1)..64*(w+2)-1. Bits are only set, and cleared all at once.
+  std::vector<std::uint64_t> mapper_high_;
+  /// Replica frames by page id; grown only when a page replicates.
+  std::vector<std::vector<FrameId>> replicas_;
 
   std::size_t mapped_count_ = 0;
 
   Entry& mutable_entry(VPage page);
-  /// Mapped pages in ascending page order (sparse backend helper).
-  [[nodiscard]] std::vector<std::uint64_t> sorted_pages() const;
+  /// Clears every mapper word of `page` beyond word 0.
+  void clear_high_mappers(VPage page);
 };
+
+static_assert(sizeof(PageTable::Entry) == 24);
 
 }  // namespace repro::vm

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "golden_matrix.hpp"
 #include "repro/common/env.hpp"
 #include "repro/harness/scheduler.hpp"
 #include "repro/trace/metrics.hpp"
@@ -43,34 +44,10 @@ constexpr const char* kDaemonGoldenFile = GOLDEN_DIR "/daemon_digests.txt";
 /// the daemon's decisions). Small enough to run in seconds, large
 /// enough that every emitting subsystem is covered.
 std::vector<RunConfig> golden_configs() {
-  const auto make = [](const std::string& benchmark,
-                       const std::string& placement) {
-    RunConfig config;
-    config.benchmark = benchmark;
-    config.placement = placement;
-    config.iterations = 3;
-    config.workload.size_scale = 0.25;
-    config.trace = true;
-    return config;
-  };
-  std::vector<RunConfig> configs;
-  for (const auto& benchmark : nas::workload_names()) {
-    for (const std::string placement : {"ft", "rr", "wc"}) {
-      for (const bool upmlib : {false, true}) {
-        RunConfig config = make(benchmark, placement);
-        if (upmlib) {
-          config.upm_mode = nas::UpmMode::kDistribution;
-        }
-        configs.push_back(std::move(config));
-      }
-    }
-  }
-  for (const auto& benchmark : nas::workload_names()) {
-    for (const std::string placement : {"rr", "wc"}) {
-      RunConfig config = make(benchmark, placement);
-      config.kernel_migration = true;
-      configs.push_back(std::move(config));
-    }
+  std::vector<RunConfig> configs =
+      golden::golden_matrix(golden::kPlacementLabels);
+  for (RunConfig& config : golden::golden_matrix(golden::kDaemonLabels)) {
+    configs.push_back(std::move(config));
   }
   return configs;
 }

@@ -69,7 +69,7 @@ TEST(Config, ValidationCatchesNonsense) {
   config = MachineConfig{};
   config.num_nodes = 128;  // > 64 procs: legal now (multi-word masks),
   EXPECT_NO_THROW(config.validate());
-  EXPECT_TRUE(config.sparse_tables());  // and auto-selects sparse tables
+  EXPECT_TRUE(config.sparse_page_caches());  // and sparse cache indexes
   config.num_nodes = 131072;  // but the sanity ceiling still exists
   EXPECT_THROW(config.validate(), ContractViolation);
 }

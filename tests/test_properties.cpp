@@ -89,7 +89,7 @@ TEST_P(FuzzInvariants, FrameAccountingBalances) {
   // used == total.
   std::uint64_t used = 0;
   for (const auto& [page, entry] : kernel.page_table().entries()) {
-    used += 1 + entry.replicas.size();
+    used += 1 + kernel.page_table().replicas(page).size();
   }
   EXPECT_EQ(kernel.physical_memory().total_free() + used,
             driver.machine().config().total_frames());
@@ -101,8 +101,8 @@ TEST_P(FuzzInvariants, NoFrameIsSharedBetweenPages) {
     driver.step();
   }
   std::map<std::uint64_t, VPage> owner_of_frame;
-  for (const auto& [page, entry] :
-       driver.machine().kernel().page_table().entries()) {
+  const vm::PageTable& table = driver.machine().kernel().page_table();
+  for (const auto& [page, entry] : table.entries()) {
     auto claim = [&](FrameId frame) {
       const auto [it, inserted] =
           owner_of_frame.emplace(frame.value(), page);
@@ -111,7 +111,7 @@ TEST_P(FuzzInvariants, NoFrameIsSharedBetweenPages) {
                             << " and " << page.value();
     };
     claim(entry.frame);
-    for (const FrameId replica : entry.replicas) {
+    for (const FrameId replica : table.replicas(page)) {
       claim(replica);
     }
   }

@@ -12,9 +12,11 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "golden_matrix.hpp"
 #include "repro/common/assert.hpp"
 #include "repro/common/ring_buffer.hpp"
 #include "repro/common/rng.hpp"
@@ -688,15 +690,11 @@ TEST(ReplayGolden, EveryGoldenCellReplaysByteIdentically) {
     dump_config.benchmark = benchmark;
     dumps.emplace_back("golden_" + benchmark + ".rtrc");
     (void)harness::dump_trace(dump_config, dumps.back().path);
-    for (const std::string placement : {"ft", "rr", "wc"}) {
-      for (const bool upmlib : {false, true}) {
-        harness::RunConfig config = tiny_config(placement, upmlib);
-        config.benchmark = benchmark;
-        config.trace = true;
-        direct.push_back(config);
-        config.replay = dumps.back().path;
-        replayed.push_back(config);
-      }
+    for (const std::string_view label : golden::kPlacementLabels) {
+      harness::RunConfig config = golden::golden_config(benchmark, label);
+      direct.push_back(config);
+      config.replay = dumps.back().path;
+      replayed.push_back(config);
     }
   }
   const std::vector<harness::RunResult> direct_results =

@@ -323,7 +323,7 @@ TEST(PhysicalMemory, AllocationSequenceMatchesPrefilledPool) {
 }
 
 TEST(PageTable, MapRemapUnmap) {
-  PageTable table;
+  PageTable table(16);
   table.map(VPage(5), FrameId(9));
   EXPECT_TRUE(table.is_mapped(VPage(5)));
   EXPECT_EQ(table.lookup(VPage(5)), FrameId(9));
@@ -339,7 +339,7 @@ TEST(PageTable, MapRemapUnmap) {
 }
 
 TEST(PageTable, MapperTrackingAndShootdownReset) {
-  PageTable table;
+  PageTable table(16);
   table.map(VPage(1), FrameId(1));
   table.note_mapper(VPage(1), ProcId(0));
   table.note_mapper(VPage(1), ProcId(3));
